@@ -125,8 +125,6 @@ DecodeSession::DecodeSession(models::Transformer& model,
   cross_table_.assign(
       static_cast<std::size_t>(config_.max_batch * cross_ppr_),
       KvPagePool::kSentinelPage);
-  lookup_tokens_.reserve(static_cast<std::size_t>(max_src_));
-  lookup_pages_.reserve(static_cast<std::size_t>(cross_ppr_));
 
   embed_buf_ = Tensor{Shape{config_.max_batch * d_model_}};
   buffers_.reserve(stages_.size());
@@ -157,12 +155,10 @@ DecodeSession::DecodeSession(models::Transformer& model,
     bind_views(config_.max_batch);
 
     if (config_.warmup) {
-      // Warm the solo staging slot (encoder + projection scratch), then
-      // run one step at the deepest ring position (the widest score
+      // Run one step at the deepest ring position (the widest score
       // buffers) against the all-sentinel tables — warming_ suppresses
       // page acquisition, and the sentinel page is defined zero memory —
       // and consolidate the workspace to the exact watermark.
-      init_staging(solo_staging_);
       warming_ = true;
       primed_ = true;
       row_steps_.assign(static_cast<std::size_t>(config_.max_batch),
@@ -546,48 +542,6 @@ void DecodeSession::commit_row_impl(index_t row, PrefillStaging& staging) {
   row_steps_[static_cast<std::size_t>(row)] = 0;
   parked_[static_cast<std::size_t>(row)] = 0;
   primed_ = true;
-}
-
-bool DecodeSession::try_commit_row_from_cache(index_t row,
-                                              const Tensor& src_ids,
-                                              index_t src_length) {
-  QDNN_CHECK(row >= 0 && row < config_.max_batch,
-             "DecodeSession: row " << row << " outside [0, "
-                                   << config_.max_batch << ")");
-  QDNN_CHECK(src_ids.rank() == 1 ||
-                 (src_ids.rank() == 2 && src_ids.dim(0) == 1),
-             "DecodeSession: prime src_ids must be [Ts] or [1, Ts], got "
-                 << src_ids.shape());
-  if (!prefix_cache_.enabled()) return false;
-  const index_t ts = src_ids.dim(src_ids.rank() - 1);
-  QDNN_CHECK(ts >= 1 && ts <= max_src_,
-             "DecodeSession: source length " << ts << " outside [1, "
-                                             << max_src_ << "]");
-  QDNN_CHECK(src_length >= 0 && src_length <= ts,
-             "DecodeSession: src_length " << src_length << " outside [0, "
-                                          << ts << "] (0 = all valid)");
-  const index_t len = src_length > 0 ? src_length : ts;
-
-  lookup_tokens_.clear();
-  for (index_t i = 0; i < ts; ++i)
-    lookup_tokens_.push_back(static_cast<index_t>(src_ids.data()[i]));
-  const std::uint64_t h = prefix_hash(lookup_tokens_.data(), ts, len);
-  lookup_pages_.clear();
-  if (!prefix_cache_.lookup_acquire(h, lookup_tokens_.data(), ts, len,
-                                    pool_, lookup_pages_))
-    return false;
-
-  if (bound_n_ != config_.max_batch) bind_views(config_.max_batch);
-  release_row_pages_(row);
-  index_t* crow = cross_table_.data() + row * cross_ppr_;
-  for (std::size_t p = 0; p < lookup_pages_.size(); ++p)
-    crow[p] = lookup_pages_[p];
-  lookup_pages_.clear();
-  src_lengths_[static_cast<std::size_t>(row)] = len;
-  row_steps_[static_cast<std::size_t>(row)] = 0;
-  parked_[static_cast<std::size_t>(row)] = 0;
-  primed_ = true;
-  return true;
 }
 
 bool DecodeSession::prefix_lookup_into(const Tensor& src_ids,

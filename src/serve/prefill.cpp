@@ -7,8 +7,8 @@ namespace qdnn::serve {
 PrefillPool::PrefillPool(runtime::DecodeSession& session, index_t workers,
                          index_t slots, obs::TraceRing* trace)
     : session_(&session), trace_(trace) {
-  QDNN_CHECK(workers >= 1,
-             "PrefillPool: workers must be >= 1, got " << workers);
+  QDNN_CHECK(workers >= 0,
+             "PrefillPool: workers must be >= 0, got " << workers);
   QDNN_CHECK(slots >= 1, "PrefillPool: slots must be >= 1, got " << slots);
   staging_.resize(static_cast<std::size_t>(slots));
   for (runtime::PrefillStaging& s : staging_) session_->init_staging(s);
@@ -34,61 +34,75 @@ void PrefillPool::worker_loop() {
   // plus the async-vs-sync bit-identity contract).
   linalg::GemmSerialScope serial_gemm;
   for (;;) {
-    PrefillJob job;
-    index_t slot = -1;
+    Finished fin;
     {
       std::unique_lock<std::mutex> lk(mu_);
       work_cv_.wait(lk, [&] {
         return stop_ || (!queue_.empty() && !free_slots_.empty());
       });
       if (stop_) return;
-      job = std::move(queue_.front());
+      fin.job = std::move(queue_.front());
       queue_.pop_front();
-      slot = free_slots_.back();
+      fin.slot = free_slots_.back();
       free_slots_.pop_back();
     }
-    Finished fin;
-    fin.slot = slot;
-    // The sampling decision was made at submit: a sampled job stamps its
-    // whole prefill window and ring events, the rest skip every record
-    // site.  Timestamps and ring writes are all-or-nothing per job.
-    // Recording is wait-free and allocation-free.
-    const bool tracing = job.sampled;
-    if (tracing) {
-      job.prefill_start_ns = obs::now_ns();
-      if (trace_ != nullptr)
-        trace_->record_always(job.id, obs::TraceEvent::kPrefillStart);
-    }
-    try {
-      // Prefix-cache probe first: a hit acquires the shared cross-K/V
-      // pages into this worker's slot (from_cache) and skips the whole
-      // encoder + projection.  The cache and page pool serialize the
-      // lookup internally, so any number of workers probe concurrently
-      // with each other and with the serving thread's publish/evict.
-      runtime::PrefillStaging& st =
-          staging_[static_cast<std::size_t>(slot)];
-      if (!session_->prefix_lookup_into(
-              job.request.src_ids, job.request.src_length, st)) {
-        // The expensive half, off the serving thread: encoder pass (pool
-        // workers serialize it inside prime_compute) + cross-K/V
-        // projections into this worker's claimed staging slot.
-        session_->prime_compute(job.request.src_ids,
-                                job.request.src_length, st);
-      }
-    } catch (...) {
-      fin.error = std::current_exception();
-    }
-    if (tracing) {
-      job.prefill_end_ns = obs::now_ns();
-      if (trace_ != nullptr)
-        trace_->record_always(job.id, obs::TraceEvent::kPrefillEnd);
-    }
-    fin.job = std::move(job);
+    prefill(fin);
     {
       std::lock_guard<std::mutex> lk(mu_);
       finished_.push_back(std::move(fin));
     }
     done_cv_.notify_all();
+  }
+}
+
+void PrefillPool::run_inline(PrefillJob&& job, Finished& out) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    QDNN_CHECK(workers_.empty() && !free_slots_.empty(),
+               "PrefillPool: run_inline needs a zero-worker pool with a "
+               "free staging slot");
+    out.slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  out.job = std::move(job);
+  prefill(out);
+}
+
+void PrefillPool::prefill(Finished& fin) {
+  PrefillJob& job = fin.job;
+  fin.error = nullptr;
+  // The sampling decision was made at submit: a sampled job stamps its
+  // whole prefill window and ring events, the rest skip every record
+  // site.  Timestamps and ring writes are all-or-nothing per job.
+  // Recording is wait-free and allocation-free.
+  const bool tracing = job.sampled;
+  if (tracing) {
+    job.prefill_start_ns = obs::now_ns();
+    if (trace_ != nullptr)
+      trace_->record_always(job.id, obs::TraceEvent::kPrefillStart);
+  }
+  try {
+    // Prefix-cache probe first: a hit acquires the shared cross-K/V
+    // pages into this slot (from_cache) and skips the whole encoder +
+    // projection.  The cache and page pool serialize the lookup
+    // internally, so any number of workers probe concurrently with each
+    // other and with the serving thread's publish/evict.
+    runtime::PrefillStaging& st =
+        staging_[static_cast<std::size_t>(fin.slot)];
+    if (!session_->prefix_lookup_into(job.request.src_ids,
+                                      job.request.src_length, st)) {
+      // The expensive half: encoder pass + cross-K/V projections into
+      // this slot.
+      session_->prime_compute(job.request.src_ids, job.request.src_length,
+                              st);
+    }
+  } catch (...) {
+    fin.error = std::current_exception();
+  }
+  if (tracing) {
+    job.prefill_end_ns = obs::now_ns();
+    if (trace_ != nullptr)
+      trace_->record_always(job.id, obs::TraceEvent::kPrefillEnd);
   }
 }
 

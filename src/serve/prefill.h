@@ -1,9 +1,13 @@
-// PrefillPool: the prefill half of the prefill/decode split.
+// PrefillPool: the prefill half of the prefill/decode split, and the
+// scheduler's only admission path.
 //
-// PR 4's scheduler admitted synchronously — BatchScheduler::admit_into
-// ran the whole encoder (prime_row) on the serving thread, so one long
-// prefill stalled every live decode row and tick time jittered with
-// source length.  The pool moves that work off the serving thread:
+// Every BatchScheduler admission runs through one pool; the worker count
+// only decides WHERE the prefill computes.  With N >= 1 workers it runs
+// off the serving thread, so a long prefill never stalls the live decode
+// rows.  With 0 workers it runs inline on the serving thread through one
+// staging slot (run_inline), the deterministic single-threaded mode.
+// Both run the same body (prefill(): prefix probe, else prime_compute,
+// with error capture and sampled trace stamps):
 //
 //   * submit() enqueues a prefill job (the request plus its scheduler
 //     bookkeeping, including the warm token buffer reserved at submit).
@@ -26,23 +30,28 @@
 //     completion order), commits the staged K/V into a free batch row
 //     (DecodeSession::commit_row — O(K/V copy), zero heap allocations)
 //     and releases the slot for the next job.
+//   * A zero-worker pool takes no submit()s: the scheduler hands it one
+//     job at a time (run_inline) only when a batch row is free, so
+//     priority order and zero-alloc admission hold exactly as in the
+//     threaded mode.
 //
-// Admission therefore costs the scheduler tick exactly one K/V copy, and
-// tick-time jitter no longer tracks source length (bench/serve_bench.cpp
-// measures sync vs async p99 tick latency under a prefill-heavy trace).
+// With workers, admission therefore costs the scheduler tick exactly one
+// K/V copy, and tick-time jitter no longer tracks source length
+// (bench/serve_bench.cpp measures 0 vs 1 worker p99 tick latency under a
+// prefill-heavy trace).
 //
 // Determinism: prefill computes the same bits on any thread (the encoder
 // is deterministic and per-request), and per-request decode output is
 // independent of admission interleaving (the PR 4 masked-attention
-// contract) — so async admission is bit-identical to the synchronous
-// scheduler per request, fuzzed in tests/serve/prefill_test.cpp.  A
-// worker-thread failure is captured into Finished::error and handed to
-// the serving thread at the next try_take, which NEVER throws — the
+// contract) — so admission through N workers is bit-identical to the
+// zero-worker pool per request, fuzzed in tests/serve/prefill_test.cpp.
+// A prefill failure is captured into Finished::error and handed to
+// the serving thread (try_take / run_inline), which NEVER throws — the
 // scheduler resolves the failed id with a FinishReason::kError result,
 // so every submitted request is accounted for.
 //
-// Thread-safety: submit/try_take/release/pending are safe from the
-// serving thread; the pool owns its workers and joins them on
+// Thread-safety: submit/try_take/run_inline/release/pending are safe from
+// the serving thread; the pool owns its workers and joins them on
 // destruction.  The pool must be destroyed before the session it feeds.
 #pragma once
 
@@ -77,8 +86,8 @@ struct PrefillJob {
   std::vector<index_t> tokens;  // reserved at submit, empty until decode
   // Observability timestamps (obs::now_ns; 0 = this request was not
   // trace-sampled).  submit_ns is stamped by the scheduler; the prefill
-  // window is stamped by whichever thread runs prime_compute — a pool
-  // worker in async mode, the serving thread in sync mode.
+  // window is stamped by whichever thread runs the prefill — a pool
+  // worker, or the serving thread for a zero-worker pool.
   long long submit_ns = 0;
   long long prefill_start_ns = 0;
   long long prefill_end_ns = 0;
@@ -117,8 +126,9 @@ class PrefillPool {
     std::exception_ptr error;
   };
 
-  // `workers` >= 1 threads compute over `slots` >= 1 preallocated staging
-  // slots (a job waits queued until a slot frees).  The session reference
+  // `workers` >= 0 threads compute over `slots` >= 1 preallocated staging
+  // slots (a job waits queued until a slot frees); 0 workers = the
+  // inline pool, driven through run_inline only.  The session reference
   // must outlive the pool.  `trace` (optional, must outlive the pool) is
   // where workers record prefill_start/prefill_end events; the scheduler
   // passes its own per-shard ring so pool events interleave with the
@@ -134,22 +144,19 @@ class PrefillPool {
   // by contract, like BatchScheduler::submit).
   void submit(PrefillJob job);
 
+  // Zero-worker pools only: computes `job` on the calling thread into a
+  // free staging slot and hands it back in `out`, exactly as try_take
+  // would (a failure arrives in out.error, never thrown).  The caller
+  // must release(out.slot) afterwards.  Zero heap allocations once the
+  // slot is warm.
+  void run_inline(PrefillJob&& job, Finished& out);
+
   // Non-blocking: moves the oldest finished prefill into `out` and
   // returns true, or returns false when none is ready.  Never throws;
   // a worker failure arrives in out.error with the job intact.  Performs
   // no heap allocation.  The caller must release(out.slot) once the
   // staging has been committed (or the error handled).
   bool try_take(Finished& out);
-
-  // Non-blocking: takes the oldest ERRORED prefill (any position in the
-  // finished queue) or returns false.  Resolving an error needs no batch
-  // row, so callers drain these unconditionally before gating successful
-  // prefills on free rows — an errored job must never sit on a staging
-  // slot waiting for a row it will not use.
-  bool try_take_error(Finished& out) {
-    return try_take_if(
-        [](const Finished& f) { return static_cast<bool>(f.error); }, out);
-  }
 
   // Non-blocking: takes the oldest finished prefill matching `pred` (any
   // position in the finished queue) or returns false.  The scheduler
@@ -199,6 +206,10 @@ class PrefillPool {
 
  private:
   void worker_loop();
+  // The prefill itself, on whichever thread owns fin.slot: probe the
+  // prefix cache, else prime_compute into the slot; capture any failure
+  // into fin.error; stamp the window when the job is trace-sampled.
+  void prefill(Finished& fin);
 
   runtime::DecodeSession* session_;
   obs::TraceRing* trace_ = nullptr;  // not owned; may be null

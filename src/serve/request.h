@@ -11,9 +11,9 @@
 //
 // Lifecycle: submit → route (serve::Server: join-shortest-queue across
 // shards) → [queue, aging upward across priority classes / shed when the
-// bounded queue is full] → prefill (encoder pass + cross-K/V projection;
-// on the serving thread in synchronous mode, on a PrefillPool worker in
-// async mode) → commit into a free batch row → step until
+// bounded queue is full] → prefill (encoder pass + cross-K/V projection,
+// through the scheduler's PrefillPool: inline on the serving thread with
+// 0 workers, else on a worker) → commit into a free batch row → step until
 // eos/budget/cancel/deadline, streaming each token as it is sampled →
 // retire.  The result's token buffer is reserved at submit and travels
 // with the request through admission, so the scheduler's admit/retire

@@ -16,6 +16,17 @@ double ring_percentile(const std::vector<double>& ring, double q) {
   return sorted[idx];
 }
 
+// The text a kError result carries for a captured failure.
+std::string error_message(std::exception_ptr error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown error";
+  }
+}
+
 }  // namespace
 
 BatchScheduler::BatchScheduler(models::Transformer& model,
@@ -76,13 +87,13 @@ BatchScheduler::BatchScheduler(models::Transformer& model,
   tick_ring_.buf.reserve(tick_ring_.window);
   register_metrics();
 
-  if (config_.prefill_workers > 0) {
-    const index_t slots = config_.prefill_slots > 0
-                              ? config_.prefill_slots
-                              : rows;
-    prefill_ = std::make_unique<PrefillPool>(
-        session_, config_.prefill_workers, slots, &trace_);
-  }
+  // Zero workers = inline prefill on the serving thread, one job at a
+  // time, so one staging slot suffices.
+  const index_t slots = config_.prefill_workers == 0 ? 1
+                        : config_.prefill_slots > 0  ? config_.prefill_slots
+                                                     : rows;
+  prefill_ = std::make_unique<PrefillPool>(
+      session_, config_.prefill_workers, slots, &trace_);
 }
 
 void BatchScheduler::register_metrics() {
@@ -234,7 +245,7 @@ index_t BatchScheduler::submit(Request request) {
   job.request = std::move(request);
   inflight_ids_.insert(id);
   queue_.push_back(std::move(job));
-  if (prefill_) pump_pool();
+  pump_pool();
   queue_depth_gauge_->set(static_cast<double>(queued()));
   return id;
 }
@@ -310,10 +321,9 @@ bool BatchScheduler::cancel(index_t id) {
     return true;
   }
   // In flight but neither queued nor live: its prefill is inside the
-  // pool (computing or finished).  The compute cannot be interrupted —
-  // flag the id and the next tick's drain resolves it without ever
-  // committing a row.
-  if (!prefill_) return false;  // unreachable: sync in-flight = queue∪rows
+  // pool (computing or finished) or held by the page gate.  The compute
+  // cannot be interrupted — flag the id and the next tick's drain
+  // resolves it without ever committing a row.
   pool_cancelled_.insert(id);
   return true;
 }
@@ -342,19 +352,33 @@ void BatchScheduler::expire_deadlines() {
   }
 }
 
+PrefillJob BatchScheduler::take_queued() {
+  auto it = pick_queued();
+  if (it->sampled)
+    trace_.record_always(it->id, obs::TraceEvent::kQueueAdmit,
+                         effective_class(*it));
+  PrefillJob job = std::move(*it);
+  queue_.erase(it);
+  return job;
+}
+
 void BatchScheduler::pump_pool() {
   // Feed the pool in priority order, keeping at most `slots` jobs inside
   // it: the pool computes in feed order, so a later high-priority submit
   // can still overtake everything waiting here in the scheduler queue.
-  while (!queue_.empty() && prefill_->pending() < prefill_->slots()) {
-    auto it = pick_queued();
-    if (it->sampled)
-      trace_.record_always(it->id, obs::TraceEvent::kQueueAdmit,
-                           effective_class(*it));
-    PrefillJob job = std::move(*it);
-    queue_.erase(it);
-    prefill_->submit(std::move(job));
-  }
+  // The inline pool is never fed: next_prefill pulls its jobs.
+  if (prefill_->workers() == 0) return;
+  while (!queue_.empty() && prefill_->pending() < prefill_->slots())
+    prefill_->submit(take_queued());
+}
+
+bool BatchScheduler::next_prefill(PrefillPool::Finished& fin) {
+  if (prefill_->workers() > 0) return prefill_->try_take(fin);
+  // Inline: the best queued job computes right now, on this thread —
+  // only ever for a free row, so the queue keeps deciding the order.
+  if (queue_.empty()) return false;
+  prefill_->run_inline(take_queued(), fin);
+  return true;
 }
 
 void BatchScheduler::install(index_t row, PrefillJob&& job) {
@@ -410,93 +434,19 @@ void BatchScheduler::install(index_t row, PrefillJob&& job) {
   live_rows_gauge_->set(static_cast<double>(live_rows_));
 }
 
-void BatchScheduler::admit_sync() {
-  // Synchronous admission runs the prefill on the serving thread:
-  // prime_row = prime_compute + commit_row, the same code path the async
-  // pool splits across threads.  The queue is drained best-class-first.
-  //
-  // PR 10: each admission first probes the session's prefix cache — a hit
-  // maps the already-committed shared cross-K/V pages into the row
-  // (bit-identical to a cold prime, zero compute, zero fresh pages) and a
-  // miss gates on the page pool actually covering the commit: the cross
-  // pages plus the first self page, counting what evicting cached
-  // prefixes could reclaim.  An admission that does not fit leaves the
-  // pick queued (head-of-line by design — it IS the best effective
-  // class); a drained batch always fits, because the session validates
-  // pool_pages covers one worst-case row.
-  while (!queue_.empty() && !free_rows_.empty()) {
-    const index_t row = free_rows_.back();
-    auto it = pick_queued();
-    if (session_.try_commit_row_from_cache(row, it->request.src_ids,
-                                           it->request.src_length)) {
-      if (it->sampled) {
-        trace_.record_always(it->id, obs::TraceEvent::kQueueAdmit,
-                             effective_class(*it));
-        trace_.record_always(it->id, obs::TraceEvent::kPrefixHit, row);
-      }
-      PrefillJob job = std::move(*it);
-      queue_.erase(it);
-      free_rows_.pop_back();
-      install(row, std::move(job));
-      continue;
-    }
-    const index_t ts =
-        it->request.src_ids.dim(it->request.src_ids.rank() - 1);
-    if (session_.free_pages() + session_.reclaimable_pages() <
-        session_.cross_pages_for(ts) + 1)
-      break;
-    if (it->sampled)
-      trace_.record_always(it->id, obs::TraceEvent::kQueueAdmit,
-                           effective_class(*it));
-    PrefillJob job = std::move(*it);
-    queue_.erase(it);
-    const bool tracing = job.sampled;
-    if (tracing) {
-      job.prefill_start_ns = obs::now_ns();
-      trace_.record_always(job.id, obs::TraceEvent::kPrefillStart);
-    }
-    std::exception_ptr error;
-    try {
-      session_.prime_row(row, job.request.src_ids, job.request.src_length);
-    } catch (...) {
-      // A prefill failure that slipped past submit (e.g. a source id
-      // outside the encoder vocabulary) resolves exactly like the async
-      // path: a kError result, never a dropped id.  prime_row throws
-      // before any session mutation, and the row was only peeked — not
-      // popped — so no batch capacity leaks either.
-      error = std::current_exception();
-    }
-    if (tracing) {
-      job.prefill_end_ns = obs::now_ns();
-      trace_.record_always(job.id, obs::TraceEvent::kPrefillEnd);
-    }
-    if (error) {
-      resolve_failed(std::move(job), error);
-      continue;
-    }
-    free_rows_.pop_back();
-    install(row, std::move(job));
-  }
-}
-
 void BatchScheduler::resolve_failed(PrefillJob&& job,
                                     std::exception_ptr error) {
-  // A prefill failure must still resolve the submitted id: emit a kError
-  // result instead of dropping the request on the floor.  No batch row
-  // is consumed.  Allocates (the message) — error path.
+  // A prefill failure (e.g. a source id outside the encoder vocabulary,
+  // which submit cannot see) must still resolve the submitted id: emit a
+  // kError result instead of dropping the request on the floor.  No
+  // batch row is consumed.  Allocates (the message) — error path.
   const auto cls = static_cast<std::size_t>(job.request.priority);
   RequestResult failed;
   failed.id = job.id;
   failed.tokens = std::move(job.tokens);  // empty
   failed.reason = FinishReason::kError;
   failed.priority = job.request.priority;
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    failed.error = e.what();
-  } catch (...) {
-    failed.error = "unknown prefill error";
-  }
+  failed.error = error_message(error);
   failed.submit_tick = job.submit_tick;
   failed.finish_tick = ticks_;  // admit_tick stays -1: never admitted
   if (job.submit_ns > 0)
@@ -508,7 +458,7 @@ void BatchScheduler::resolve_failed(PrefillJob&& job,
   trace_.record(failed_id, obs::TraceEvent::kRetire);
 }
 
-void BatchScheduler::admit_async() {
+void BatchScheduler::admit() {
   pump_pool();
   PrefillPool::Finished fin;
   // Doomed prefills — errored, cancelled mid-compute, or past deadline —
@@ -546,18 +496,20 @@ void BatchScheduler::admit_async() {
   // Drain successful prefills into free rows, the held one first (it
   // arrived earliest and still owns its staging slot): each admission is
   // one commit_row K/V copy plus slot bookkeeping — no heap allocation,
-  // no waiting (a prefill still computing is simply not ready this
-  // tick).  PR 10: each commit is gated on the page pool covering it —
-  // the cross pages for a cold prefill (none for a cache hit: those
-  // pages are already resident and shared) plus the first self page,
-  // counting reclaimable cached prefixes.  A prefill that does not fit
-  // is HELD — it counts in queued() and blocks idle(), and commits as
-  // soon as retirements or preemptions free pages.
+  // no waiting (a prefill still computing on a worker is simply not
+  // ready this tick; the inline pool computes the best queued job right
+  // here).  Each commit is gated on the page pool covering it — the
+  // cross pages for a cold prefill (none for a cache hit: those pages
+  // are already resident and shared) plus the first self page, counting
+  // reclaimable cached prefixes.  A prefill that does not fit is HELD —
+  // it counts in queued() and blocks idle(), and commits as soon as
+  // retirements or preemptions free pages.  A drained batch always
+  // fits: the session validates pool_pages covers one worst-case row.
   while (!free_rows_.empty()) {
     if (has_held_) {
       fin = std::move(held_fin_);
       has_held_ = false;
-    } else if (!prefill_->try_take(fin)) {
+    } else if (!next_prefill(fin)) {
       break;
     }
     if (doomed(fin)) {  // finished after the sweep above — same path
@@ -583,7 +535,8 @@ void BatchScheduler::admit_async() {
   }
 }
 
-void BatchScheduler::retire(index_t row, FinishReason reason) {
+void BatchScheduler::retire(index_t row, FinishReason reason,
+                            std::exception_ptr error) {
   Slot& slot = slots_[static_cast<std::size_t>(row)];
   const auto cls = static_cast<std::size_t>(slot.priority);
   RequestResult result;
@@ -594,6 +547,7 @@ void BatchScheduler::retire(index_t row, FinishReason reason) {
   // allocation-free.
   result.tokens = std::move(slot.tokens);
   result.reason = reason;
+  if (error) result.error = error_message(error);  // error path allocates
   result.priority = slot.priority;
   result.decode_steps = session_.row_steps(row);
   result.submit_tick = slot.submit_tick;
@@ -635,6 +589,11 @@ void BatchScheduler::retire(index_t row, FinishReason reason) {
       break;
     case FinishReason::kDeadline:
       class_counters_[cls].expired->inc();
+      if (slot.sampled)
+        trace_.record_always(slot.id, obs::TraceEvent::kRetire, row);
+      break;
+    case FinishReason::kError:
+      class_counters_[cls].errored->inc();
       if (slot.sampled)
         trace_.record_always(slot.id, obs::TraceEvent::kRetire, row);
       break;
@@ -728,10 +687,7 @@ index_t BatchScheduler::step() {
   // then admission, so a row freed on the previous tick never idles: a
   // retirement's slot is serving the next queued request one tick later.
   expire_deadlines();
-  if (prefill_)
-    admit_async();
-  else
-    admit_sync();
+  admit();
 
   // Page-pressure preemption (PR 10): before stepping, every live row
   // must hold a self-KV page for its next position.  When the pool is
@@ -821,13 +777,21 @@ index_t BatchScheduler::step() {
     }
     if (slot.on_token) {
       // Streamed the moment it exists — not at retirement.  The callback
-      // owns its own cost; the contract is "fast and non-blocking".
+      // owns its own cost; the contract is "fast and non-blocking".  A
+      // callback that throws fails only its own request: the row retires
+      // kError with the tokens decoded so far, and the batch (and the
+      // Server shard thread driving it) keeps serving.
       StreamEvent event;
       event.id = slot.id;
       event.token = token;
       event.index = static_cast<index_t>(slot.tokens.size()) - 1;
       event.tick = ticks_;
-      slot.on_token(event);
+      try {
+        slot.on_token(event);
+      } catch (...) {
+        retire(row, FinishReason::kError, std::current_exception());
+        continue;
+      }
     }
     if (static_cast<index_t>(slot.tokens.size()) >= slot.budget)
       retire(row, FinishReason::kLength);
@@ -854,8 +818,8 @@ index_t BatchScheduler::step() {
 bool BatchScheduler::wait_for_prefill() const {
   // A held finished prefill (page gate) commits the moment pages free —
   // never block on UNRELATED prefill compute while it waits.
-  if (!prefill_ || has_held_ || live_rows_ > 0 ||
-      prefill_->pending() == 0 || prefill_->ready() > 0)
+  if (has_held_ || live_rows_ > 0 || prefill_->pending() == 0 ||
+      prefill_->ready() > 0)
     return false;
   // A queued job the pool has room for would be fed by the next step();
   // a queued job already past its deadline would be resolved by it.

@@ -46,31 +46,33 @@
 // Every submitted id resolves with EXACTLY one RequestResult — shed,
 // errored, cancelled, expired, or decoded to completion.
 //
-// Admission comes in two modes, selected by config.prefill_workers:
+// Admission is one path through a serve::PrefillPool: the pool prefills
+// a job (prefix-cache probe, else encoder pass + cross-K/V projection)
+// into a preallocated staging slot, and each tick drains finished
+// prefills into free rows with DecodeSession::commit_row — doomed-job
+// resolution, the page gate and prefill tracing exist once.
+// config.prefill_workers only picks where the prefill computes:
 //
-//   * synchronous (0, default) — the prefill (encoder pass + cross-K/V
-//     projection) runs on the serving thread at admission, exactly the
-//     PR 4 behavior: single-threaded, deterministic tick-for-tick.
-//   * asynchronous (>= 1) — a serve::PrefillPool runs the prefill on
-//     worker threads into preallocated staging buffers; the scheduler
-//     feeds the pool from its priority queue (keeping at most
-//     prefill_slots jobs inside it, so priorities still bite) and each
-//     tick drains finished prefills into free rows with
-//     DecodeSession::commit_row, so admission costs the tick exactly one
+//   * 0 (default) — inline on the serving thread: when a row is free the
+//     tick pulls the best effective-class job from the queue and
+//     prefills it right there through one staging slot —
+//     single-threaded, deterministic tick-for-tick.
+//   * N >= 1 — on N worker threads: the scheduler feeds the pool from
+//     its priority queue (keeping at most prefill_slots jobs inside it,
+//     so priorities still bite), so admission costs the tick exactly one
 //     O(K/V) copy and a long prefill never stalls the live decode rows.
-//     Both modes run the same compute (prime_row is implemented as
-//     prime_compute + commit_row), so per-request outputs are
-//     bit-identical across modes and to solo decodes — only the
-//     admission *timing* can differ (fuzzed in
-//     tests/serve/prefill_test.cpp).
+//
+// Every worker count runs the same compute, so per-request outputs are
+// bit-identical across worker counts and to solo decodes — only the
+// admission *timing* can differ (fuzzed in tests/serve/prefill_test.cpp).
 //
 // Contracts:
 //   * Equivalence — a greedy request's tokens are bit-identical to a solo
 //     DecodeSession::generate / greedy_decode_reference of that request,
-//     for ANY admission/retirement interleaving, either admission mode,
-//     and any priority/cancellation activity around it (per-row masked
-//     attention is exact; fuzzed in tests/serve/scheduler_test.cpp and
-//     tests/serve/prefill_test.cpp).
+//     for ANY admission/retirement interleaving, any prefill worker
+//     count, and any priority/cancellation activity around it (per-row
+//     masked attention is exact; fuzzed in tests/serve/scheduler_test.cpp
+//     and tests/serve/prefill_test.cpp).
 //   * Determinism — stochastic requests draw from their own seeded Rng,
 //     so results are reproducible regardless of admission order.
 //   * Zero-alloc steady state — all per-row bookkeeping (slots, sampling
@@ -78,38 +80,37 @@
 //     request carries its own warm token buffer (reserved at submit,
 //     swapped into the slot at admission, handed off inside the
 //     RequestResult at retirement), so steady-state ticks — including the
-//     retire→admit slot cycle, and including async admission itself (an
-//     O(K/V) commit copy) — perform no heap allocation (asserted in
-//     tests/runtime/session_test.cpp).  Synchronous admission allocates —
-//     it runs the encoder; submit and take_results allocate (queue
-//     growth / result hand-off), and so do the resolution paths for
-//     shed/cancelled/errored requests (error strings).
+//     retire→admit slot cycle and admission itself at any worker count
+//     (an inline prefill runs through a warmed staging slot) — perform no
+//     heap allocation (asserted in tests/runtime/session_test.cpp).
+//     submit and take_results allocate (queue growth / result hand-off),
+//     and so do the resolution paths for shed/cancelled/errored requests
+//     (error strings).
 //
 // Paged KV + prefix reuse (PR 10): the session's KV memory is a page
 // pool, so admission gates on ACTUAL free pages (plus what evicting
 // cached prefixes could reclaim), not on the dense worst case — with
 // config.session.pool_pages below the dense bound the scheduler
-// oversubscribes max_batch with short/shared-prefix requests.  Admission
-// first probes the session's prefix cache (sync:
-// try_commit_row_from_cache on the serving thread; async: the pool
-// workers probe before computing), and a hit skips the entire prefill —
-// bit-identical to the cold prime, because the shared pages hold the
-// cold prime's bits.  When a decode step finds the pool dry (a live row
-// needs its next self-KV page and ensure_row_step_capacity fails), the
-// scheduler PREEMPTS: the lowest-priority-class, youngest-admitted live
-// row is evicted — its pages released, its job (tokens decoded so far,
-// Rng state, original admission/first-token stamps) requeued at the
-// FRONT of the admission queue — and at re-admission the scheduler
-// re-primes the row (usually a prefix-cache hit) and REPLAYS the
-// decoded tokens through the session without sampling, streaming or
-// appending, so the resumed decode is bit-identical to an unpreempted
-// run and every id still resolves exactly once with its FinishReason
-// untouched.
+// oversubscribes max_batch with short/shared-prefix requests.  Every
+// prefill first probes the session's prefix cache, and a hit skips the
+// entire prefill — bit-identical to the cold prime, because the shared
+// pages hold the cold prime's bits.  When a decode step finds the pool
+// dry (a live row needs its next self-KV page and
+// ensure_row_step_capacity fails), the scheduler PREEMPTS: the
+// lowest-priority-class, youngest-admitted live row is evicted — its
+// pages released, its job (tokens decoded so far, Rng state, original
+// admission/first-token stamps) requeued at the FRONT of the admission
+// queue — and at re-admission the scheduler re-primes the row (usually
+// a prefix-cache hit) and REPLAYS the decoded tokens through the session
+// without sampling, streaming or appending, so the resumed decode is
+// bit-identical to an unpreempted run and every id still resolves
+// exactly once with its FinishReason untouched.
 //
 // The serving loop stays single-threaded: callers pump step()/cancel()
 // and drain take_results() from one thread; only the prefill compute
-// moves to the pool.  serve::Server (serve/server.h) wraps N schedulers
-// on worker threads behind one thread-safe front end.
+// moves to the pool's workers, if it has any.  serve::Server
+// (serve/server.h) wraps N schedulers on worker threads behind one
+// thread-safe front end.
 #pragma once
 
 #include <array>
@@ -134,17 +135,17 @@ struct BatchSchedulerConfig {
   runtime::DecodeSessionConfig session;
   index_t bos = 1;
   index_t eos = 2;
-  // 0 = synchronous admission (prefill on the serving thread — the
-  // deterministic single-threaded mode); >= 1 = asynchronous admission
-  // through a PrefillPool with this many worker threads.
+  // Prefill worker threads of the admission PrefillPool.  0 = prefill
+  // inline on the serving thread (the deterministic single-threaded
+  // mode); N >= 1 = N threads prefilling ahead of the serving thread.
   index_t prefill_workers = 0;
-  // Staging slots for the async pool (finished prefills awaiting a free
-  // row); 0 = max_batch.  Ignored in synchronous mode.
+  // Staging slots for a threaded pool (finished prefills awaiting a free
+  // row); 0 = max_batch.  Ignored with 0 workers (one slot).
   index_t prefill_slots = 0;
   // Bounded admission: the most requests allowed to wait for a batch row
-  // (sync queue + async prefill pipeline, i.e. queued()).  A submit that
-  // finds the bound reached is load-shed — it resolves immediately with
-  // FinishReason::kShed instead of growing the queue.  0 = unbounded.
+  // (queue + prefill pipeline + held prefill, i.e. queued()).  A submit
+  // that finds the bound reached is load-shed — it resolves immediately
+  // with FinishReason::kShed instead of growing the queue.  0 = unbounded.
   index_t max_queue = 0;
   // Priority aging: a waiting request's effective class drops one level
   // (toward kHigh) every age_ticks ticks, so low priority cannot starve
@@ -229,48 +230,49 @@ class BatchScheduler {
   // reserves the request's warm token buffer here, so the later
   // admit/retire ticks never allocate.  With config.max_queue > 0 a full
   // queue load-sheds: the returned id resolves immediately with a kShed
-  // result.  In async mode the job is fed to the prefill pool as soon as
+  // result.  With prefill workers the job is fed to the pool as soon as
   // a staging slot is open.  Returns the request id.  Allocates (queue
   // growth + buffer reserve).
   index_t submit(Request request);
 
   // Resolves the in-flight request `id` with FinishReason::kCancelled:
   // removed from the admission queue (empty tokens), flagged while its
-  // prefill is in flight on the pool (resolved at the next tick's
-  // drain), or retired mid-flight right here with the tokens decoded so
-  // far — the freed KV row admits the next request on the following
-  // tick.  Returns false (and does nothing) when `id` is unknown,
-  // already resolved, or already cancelled — a submitted id always
-  // resolves with exactly ONE result, however many times it is
+  // prefill is in flight on the pool or held by the page gate (resolved
+  // at the next tick's drain), or retired mid-flight right here with the
+  // tokens decoded so far — the freed KV row admits the next request on
+  // the following tick.  Returns false (and does nothing) when `id` is
+  // unknown, already resolved, or already cancelled — a submitted id
+  // always resolves with exactly ONE result, however many times it is
   // cancelled.
   bool cancel(index_t id);
 
   // One tick: expire deadlines → admit → batch-step → sample/stream →
   // retire (see file comment).  Returns the number of live rows that
   // were stepped (0 = nothing to do; the tick still counts, so arrival
-  // traces keyed on ticks work).  Async mode: admission drains finished
-  // prefills only — a tick never waits on the pool.
+  // traces keyed on ticks work).  With prefill workers, admission drains
+  // finished prefills only — a tick never waits on the pool.  A stream
+  // callback that throws retires only its own row, kError.
   index_t step();
 
-  // Async tick-driver helper: when the ONLY outstanding work is a
-  // prefill still computing (no live rows, nothing admissible, no due
-  // deadline), blocks until the pool finishes one and returns true —
-  // callers `continue` instead of stepping, so the tick clock never
+  // Tick-loop helper for prefill workers: when the ONLY outstanding
+  // work is a prefill still computing (no live rows, nothing admissible,
+  // no due deadline), blocks until the pool finishes one and returns
+  // true — callers `continue` instead of stepping, so the tick clock never
   // free-runs orders of magnitude faster than real batch steps (which
   // would collapse arrival schedules and inflate tick-denominated
   // latencies) and the serving core is not stolen from the workers.
   // Returns false (without blocking) whenever a step would do real work;
-  // always false in sync mode.  run() uses it; external drivers pumping
+  // always false with 0 workers.  run() uses it; external loops pumping
   // step() should too.
   bool wait_for_prefill() const;
 
-  // Ticks until every submitted request has retired (in async mode,
-  // yielding while prefills are still in flight).
+  // Ticks until every submitted request has retired (with prefill
+  // workers, yielding while prefills are still in flight).
   void run();
 
   bool idle() const {
     return live_rows_ == 0 && queue_.empty() && !has_held_ &&
-           (!prefill_ || prefill_->pending() == 0);
+           prefill_->pending() == 0;
   }
   // Results finished and not yet taken — a cheap guard so drivers can
   // skip the take_results() allocation when there is nothing to drain.
@@ -282,11 +284,11 @@ class BatchScheduler {
   // reserved one, off the tick path).
   std::vector<RequestResult> take_results();
 
-  // Requests submitted and not yet admitted (sync queue + async pool +
-  // a finished prefill held back waiting for KV pages).
+  // Requests submitted and not yet admitted (queue + prefill workers'
+  // pool + a finished prefill held back waiting for KV pages).
   index_t queued() const {
-    return static_cast<index_t>(queue_.size()) +
-           (prefill_ ? prefill_->pending() : 0) + (has_held_ ? 1 : 0);
+    return static_cast<index_t>(queue_.size()) + prefill_->pending() +
+           (has_held_ ? 1 : 0);
   }
   index_t live_rows() const { return live_rows_; }
   index_t ticks() const { return ticks_; }
@@ -308,7 +310,7 @@ class BatchScheduler {
   // The per-scheduler trace ring (empty unless obs::trace_enabled()).
   const obs::TraceRing& trace() const { return trace_; }
   const runtime::DecodeSession& session() const { return session_; }
-  // The async admission pool (null in synchronous mode).
+  // The admission pool (workers() == config.prefill_workers; never null).
   const PrefillPool* prefill_pool() const { return prefill_.get(); }
 
  private:
@@ -368,13 +370,19 @@ class BatchScheduler {
   void register_metrics();
   std::deque<PrefillJob>::iterator pick_queued();
   void expire_deadlines();
+  // Removes the best effective-class job from the queue (pick_queued).
+  PrefillJob take_queued();
   void pump_pool();
-  void admit_sync();
-  void admit_async();
+  // The admission loop's next finished prefill: a worker's, or (0
+  // workers) the best queued job prefilled inline.  False = none ready.
+  bool next_prefill(PrefillPool::Finished& fin);
+  void admit();
   void resolve_unadmitted(PrefillJob&& job, FinishReason reason);
   void resolve_failed(PrefillJob&& job, std::exception_ptr error);
   void install(index_t row, PrefillJob&& job);
-  void retire(index_t row, FinishReason reason);
+  // `error` (kError only) becomes the result's message.
+  void retire(index_t row, FinishReason reason,
+              std::exception_ptr error = nullptr);
   // Page-pressure preemption (PR 10): the victim is the live row with the
   // WORST static priority class, youngest admit_tick breaking ties.
   index_t pick_victim() const;
@@ -386,9 +394,9 @@ class BatchScheduler {
   index_t vocab_ = 0;
   runtime::DecodeSession session_;
 
-  // Admission queue, both modes: submit appends (FIFO), admission picks
-  // by effective priority class.  In async mode pump_pool() moves the
-  // best-class jobs into the PrefillPool as staging slots open.
+  // Admission queue: submit appends (FIFO), admission picks by effective
+  // priority class — pump_pool() feeds prefill workers as staging slots
+  // open; with 0 workers next_prefill() pulls a job per free row.
   std::deque<PrefillJob> queue_;
   std::vector<Slot> slots_;
   std::vector<index_t> feed_;       // next input token per row
@@ -400,8 +408,8 @@ class BatchScheduler {
   // Ids of every unresolved request (queued, in the pool, or live) — the
   // explicit-id uniqueness check and the cancel() routing table.
   std::unordered_set<index_t> inflight_ids_;
-  // Cancelled while their prefill was in flight on the pool; resolved
-  // (and erased) when the pool hands the job back.
+  // Cancelled while their prefill was in flight on the pool or held;
+  // resolved (and erased) at the next drain.
   std::unordered_set<index_t> pool_cancelled_;
 
   std::array<SampleRing, kPriorityClasses> queue_wait_ring_;
@@ -458,10 +466,10 @@ class BatchScheduler {
   // sampled; serving-thread only.
   index_t trace_seq_ = 0;
 
-  // Async admission, page gate: a finished prefill whose commit would
-  // need more pages than free + reclaimable is HELD here (still owning
-  // its staging slot) until pages free up — it counts in queued() and
-  // blocks idle(), so every id still resolves.
+  // Page gate: a finished prefill whose commit would need more pages
+  // than free + reclaimable is HELD here (still owning its staging slot)
+  // until pages free up — it counts in queued() and blocks idle(), so
+  // every id still resolves.
   PrefillPool::Finished held_fin_;
   bool has_held_ = false;
 

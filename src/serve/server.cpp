@@ -192,12 +192,17 @@ index_t Server::submit(Request request) {
              "Server: request.id must be left at -1 — the Server assigns "
              "globally unique ids (got "
                  << request.id << ")");
-  // Join-shortest-queue: fewest unresolved requests wins, ties to the
-  // lowest shard.  Reads are atomic — no shard lock is touched until the
-  // destination is chosen, so a busy shard never blocks routing.
-  index_t best = 0;
-  index_t best_load = shards_[0]->outstanding.load();
-  for (index_t i = 1; i < shards(); ++i) {
+  // Join-shortest-queue: fewest unresolved requests wins, ties broken
+  // round-robin — the scan starts at seq % shards, so an idle fleet still
+  // spreads consecutive submits instead of piling them on shard 0.
+  // Reads are atomic — no shard lock is touched until the destination is
+  // chosen, so a busy shard never blocks routing.
+  const index_t seq = next_seq_.fetch_add(1);
+  index_t best = seq % shards();
+  index_t best_load =
+      shards_[static_cast<std::size_t>(best)]->outstanding.load();
+  for (index_t k = 1; k < shards(); ++k) {
+    const index_t i = (seq + k) % shards();
     const index_t load =
         shards_[static_cast<std::size_t>(i)]->outstanding.load();
     if (load < best_load) {
@@ -206,7 +211,7 @@ index_t Server::submit(Request request) {
     }
   }
   Shard& shard = *shards_[static_cast<std::size_t>(best)];
-  const index_t id = next_seq_.fetch_add(1) * shards() + best;
+  const index_t id = seq * shards() + best;
   request.id = id;
   {
     const auto lk = lock_front(shard);

@@ -15,7 +15,8 @@
 //     (bench/serve_bench.cpp measures 1-shard vs 4-shard throughput).
 //   * routing — submit() join-shortest-queues: the request goes to the
 //     shard with the fewest unresolved requests (atomic counters, no
-//     locks on the read).  Ids are globally unique and encode the shard
+//     locks on the read), ties broken round-robin by submit sequence.
+//     Ids are globally unique and encode the shard
 //     (id mod shards), so cancel() routes without a lookup table.
 //   * per-request behaviors — streaming callbacks, cancellation,
 //     deadlines, priority classes with aging, and bounded-queue load
@@ -43,7 +44,9 @@
 // retirement); every submitted id resolves into exactly one result
 // (fuzzed multi-threaded in tests/serve/server_test.cpp).  Request
 // on_token callbacks run on shard worker threads with the shard lock
-// held — they must be fast and must not call back into the Server.
+// held — they must be fast and must not call back into the Server.  A
+// callback that throws resolves its own request kError; the shard keeps
+// serving.
 // Destroying the Server stops the workers promptly; drain results (and
 // wait_idle()) first if you need every outstanding request resolved.
 #pragma once

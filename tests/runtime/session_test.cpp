@@ -707,48 +707,50 @@ TEST(BatchScheduler, AsyncRetireAdmitCycleZeroHeapAllocations) {
   // K/V copy plus slot bookkeeping over the request's own warm token
   // buffer) and a tick that RETIRES (hand the buffer off, park the row)
   // perform no heap allocation at all — the full retire→admit slot cycle
-  // included.  (Synchronous admission allocates by contract: it runs the
-  // encoder on the serving thread.)
-  models::Transformer model(qdnn::testing::tiny_transformer_config());
-  model.set_training(false);
-  serve::BatchSchedulerConfig config;
-  config.session.max_batch = 2;
-  config.session.max_steps = 8;
-  config.prefill_workers = 1;
-  serve::BatchScheduler scheduler(model, config);
+  // included.  With 0 workers the admitting tick also runs both prefills
+  // inline, through the pool's warmed staging slot — still zero-alloc.
+  for (const index_t workers : {1, 0}) {
+    models::Transformer model(qdnn::testing::tiny_transformer_config());
+    model.set_training(false);
+    serve::BatchSchedulerConfig config;
+    config.session.max_batch = 2;
+    config.session.max_steps = 8;
+    config.prefill_workers = workers;
+    serve::BatchScheduler scheduler(model, config);
 
-  auto submit_wave = [&](std::uint64_t seed) {
-    for (index_t i = 0; i < 2; ++i) {
-      serve::Request req;
-      req.src_ids = random_src_ids(1, 4, 20, seed + i);
-      req.max_new_tokens = 2;  // retires on length at the second tick
-      scheduler.submit(std::move(req));
-    }
-    // Wait for the pool so the measured ticks admit without computing
-    // (and no worker thread allocates inside the measured window).
-    while (scheduler.prefill_pool()->ready() < 2)
-      std::this_thread::yield();
-  };
+    auto submit_wave = [&](std::uint64_t seed) {
+      for (index_t i = 0; i < 2; ++i) {
+        serve::Request req;
+        req.src_ids = random_src_ids(1, 4, 20, seed + i);
+        req.max_new_tokens = 2;  // retires on length at the second tick
+        scheduler.submit(std::move(req));
+      }
+      // Wait for the pool so the measured ticks admit without computing
+      // (and no worker thread allocates inside the measured window).
+      while (workers > 0 && scheduler.prefill_pool()->ready() < 2)
+        std::this_thread::yield();
+    };
 
-  // Wave 1 occupies both rows and retires them — the slots have cycled
-  // once before the measurement, covering the moved-from buffer states.
-  submit_wave(200);
-  scheduler.step();
-  scheduler.step();
-  ASSERT_EQ(scheduler.take_results().size(), 2u);
+    // Wave 1 occupies both rows and retires them — the slots have cycled
+    // once before the measurement, covering the moved-from buffer states.
+    submit_wave(200);
+    scheduler.step();
+    scheduler.step();
+    ASSERT_EQ(scheduler.take_results().size(), 2u) << "workers " << workers;
 
-  // Wave 2 is fully prefilled before the window opens.
-  submit_wave(210);
-  const long long before = g_live_allocs.load();
-  scheduler.step();  // admits both rows: commit_row + warm-buffer swap
-  scheduler.step();  // decodes to budget and retires both: park + hand-off
-  scheduler.step();  // idle tick over parked rows
-  const long long after = g_live_allocs.load();
-  EXPECT_EQ(after - before, 0)
-      << "async retire→admit cycle performed " << (after - before)
-      << " heap allocations";
-  EXPECT_EQ(scheduler.take_results().size(), 2u);
-  EXPECT_TRUE(scheduler.idle());
+    // Wave 2 is fully prefilled before the window opens (with workers).
+    submit_wave(210);
+    const long long before = g_live_allocs.load();
+    scheduler.step();  // admits both rows: commit_row + warm-buffer swap
+    scheduler.step();  // decodes to budget and retires both: park + hand-off
+    scheduler.step();  // idle tick over parked rows
+    const long long after = g_live_allocs.load();
+    EXPECT_EQ(after - before, 0)
+        << "retire→admit cycle with " << workers << " prefill workers "
+        << "performed " << (after - before) << " heap allocations";
+    EXPECT_EQ(scheduler.take_results().size(), 2u) << "workers " << workers;
+    EXPECT_TRUE(scheduler.idle()) << "workers " << workers;
+  }
 }
 
 TEST(BatchScheduler, SessionWatermarkStableAcrossAdmissions) {

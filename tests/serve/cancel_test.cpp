@@ -279,6 +279,121 @@ TEST(Deadline, DueInsideThePoolResolvesAtDrainWithoutARow) {
   EXPECT_EQ(next[0].reason, FinishReason::kLength);
 }
 
+TEST(Cancel, HeldByThePageGateWithZeroWorkersResolvesOnce) {
+  // With 0 prefill workers the page gate holds a prefill exactly as a
+  // threaded pool does: computed inline, then parked in its staging slot
+  // until pages free.  A held prefix hit that is cancelled and a held
+  // cold prefill that reaches its deadline must each resolve exactly
+  // once, hand back the staging slot and the prefix pin, and leave every
+  // page free or reclaimable once drained.
+  Transformer model(tiny_transformer_config());
+  model.set_training(false);
+  const index_t max_steps = 12;
+  BatchSchedulerConfig config = scheduler_config(3, max_steps);
+  config.session.max_src = 4;
+  config.session.page_tokens = 4;
+  // Worst-case row: 3 self + 1 cross = 4 pages.  5 pages hold one cached
+  // source beside two fresh rows (1 cross + 1 self each) and no more.
+  config.session.pool_pages = 5;
+  BatchScheduler scheduler(model, config);
+  const runtime::DecodeSession& session = scheduler.session();
+
+  // Two fillers that decode the whole budget (no early eos), so they
+  // keep their pages through every check below.
+  std::vector<Tensor> filler_src;
+  std::vector<std::vector<index_t>> filler_ref;
+  for (std::uint64_t seed = 482; filler_src.size() < 2; ++seed) {
+    Tensor src = random_src_ids(1, 4, 20, seed);
+    auto ref =
+        model.greedy_decode_reference(src, {}, kBos, kEos, max_steps)[0];
+    if (ref.size() < static_cast<std::size_t>(max_steps)) continue;
+    filler_src.push_back(std::move(src));
+    filler_ref.push_back(std::move(ref));
+  }
+
+  // S publishes its cross page to the prefix cache.
+  const Tensor shared = random_src_ids(1, 4, 20, 481);
+  {
+    Request s;
+    s.src_ids = shared;
+    s.max_new_tokens = 2;
+    scheduler.submit(std::move(s));
+    scheduler.run();
+    ASSERT_EQ(scheduler.take_results().size(), 1u);
+  }
+  ASSERT_EQ(session.reclaimable_pages(), 1);
+
+  std::map<index_t, std::size_t> filler_of;
+  for (std::size_t i = 0; i < 2; ++i) {
+    Request req;
+    req.src_ids = filler_src[i];
+    req.max_new_tokens = max_steps;
+    filler_of[scheduler.submit(std::move(req))] = i;
+  }
+  scheduler.step();
+  ASSERT_EQ(scheduler.live_rows(), 2);
+  ASSERT_EQ(session.free_pages(), 0);
+
+  // A hit on S pins S's page, so nothing is reclaimable and the hit's
+  // first self page does not fit: held.
+  Request hit;
+  hit.src_ids = shared;
+  hit.max_new_tokens = 4;
+  const index_t hit_id = scheduler.submit(std::move(hit));
+  scheduler.step();
+  EXPECT_EQ(scheduler.queued(), 1) << "the hit is held by the page gate";
+  EXPECT_EQ(session.reclaimable_pages(), 0) << "the held hit pins S";
+  EXPECT_TRUE(scheduler.cancel(hit_id));
+  EXPECT_FALSE(scheduler.cancel(hit_id)) << "double-cancel while held";
+  scheduler.step();
+  {
+    auto results = scheduler.take_results();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].id, hit_id);
+    EXPECT_EQ(results[0].reason, FinishReason::kCancelled);
+    EXPECT_TRUE(results[0].tokens.empty());
+    EXPECT_EQ(results[0].admit_tick, -1);
+  }
+  EXPECT_EQ(session.reclaimable_pages(), 1) << "the pin on S was released";
+
+  // A cold prefill needs 1 cross + 1 self page against 1 reclaimable:
+  // held until its deadline passes.
+  Request late = make_request(490, 4);
+  late.deadline_tick = scheduler.ticks() + 1;
+  const index_t late_id = scheduler.submit(std::move(late));
+  scheduler.step();
+  EXPECT_EQ(scheduler.queued(), 1) << "the cold prefill is held";
+  scheduler.step();
+  {
+    auto results = scheduler.take_results();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].id, late_id);
+    EXPECT_EQ(results[0].reason, FinishReason::kDeadline);
+    EXPECT_TRUE(results[0].tokens.empty());
+    EXPECT_EQ(results[0].finish_tick, results[0].submit_tick + 1);
+  }
+  EXPECT_FALSE(scheduler.cancel(late_id)) << "resolved";
+
+  // The staging slot is free again: the fillers (preempting each other
+  // as they deepen) and one more request all serve to completion.
+  const index_t next_id = scheduler.submit(make_request(491, 3));
+  scheduler.run();
+  auto rest = scheduler.take_results();
+  ASSERT_EQ(rest.size(), 3u);
+  for (const RequestResult& r : rest) {
+    if (r.id == next_id) {
+      EXPECT_TRUE(r.reason == FinishReason::kEos ||
+                  r.reason == FinishReason::kLength);
+    } else {
+      EXPECT_EQ(r.tokens, filler_ref[filler_of.at(r.id)]) << "id " << r.id;
+    }
+  }
+  EXPECT_TRUE(scheduler.idle());
+  EXPECT_EQ(scheduler.queued(), 0);
+  EXPECT_EQ(session.free_pages() + session.reclaimable_pages(),
+            session.total_pages());
+}
+
 TEST(Cancel, StormFuzzEveryIdResolvesExactlyOnce) {
   // Mixed priorities, a few deadlines, async admission, and a cancel
   // storm at random ticks: every id resolves exactly once, completed

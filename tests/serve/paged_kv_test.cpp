@@ -228,7 +228,10 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
     jobs.push_back(std::move(j));
   }
 
-  index_t total_preemptions = 0;
+  // The page gate and its held prefill are one path for every worker
+  // count: run the fuzz inline (0) and on a threaded pool (2).
+  index_t sync_preemptions = 0;
+  for (const index_t workers : {0, 2})
   for (const std::uint64_t fuzz_seed : {11u, 22u, 33u}) {
     BatchSchedulerConfig config = scheduler_config(4, max_steps);
     config.session.max_src = 8;
@@ -237,7 +240,10 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
     // 8 pages for a width-4 batch (dense bound 20) oversubscribes hard:
     // rows MUST deepen into a dry pool and trigger preemption.
     config.session.pool_pages = 8;
+    config.prefill_workers = workers;
     BatchScheduler scheduler(model, config);
+    SCOPED_TRACE(::testing::Message() << "workers " << workers
+                                      << ", fuzz seed " << fuzz_seed);
 
     Rng order_rng(fuzz_seed);
     const std::vector<index_t> order =
@@ -254,6 +260,7 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
       id_to_job[scheduler.submit(std::move(req))] = idx;
     }
     while (!scheduler.idle()) {
+      if (scheduler.wait_for_prefill()) continue;
       scheduler.step();
       for (RequestResult& r : scheduler.take_results()) {
         const bool inserted =
@@ -270,14 +277,14 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
           << "preempted/replayed request diverged from solo decode";
     }
     const SchedulerStats stats = scheduler.stats();
-    total_preemptions += stats.preemptions;
+    if (workers == 0) sync_preemptions += stats.preemptions;
     EXPECT_EQ(stats.total_pages, 8);
     // Drained: every non-free page is held only by the prefix cache.
     EXPECT_EQ(scheduler.session().free_pages() +
                   scheduler.session().reclaimable_pages(),
               scheduler.session().total_pages());
   }
-  EXPECT_GT(total_preemptions, 0)
+  EXPECT_GT(sync_preemptions, 0)
       << "pool of 8 pages under 8 deep requests never preempted — the "
          "oversubscription path went untested";
 }

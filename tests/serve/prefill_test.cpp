@@ -354,7 +354,7 @@ TEST(PrefillPool, WorkerErrorsArriveWithTheJobIntact) {
   EXPECT_TRUE(fin.error == nullptr);
   pool.release(fin.slot);
 
-  EXPECT_THROW(PrefillPool(session, 0, 1), std::runtime_error);
+  EXPECT_THROW(PrefillPool(session, -1, 1), std::runtime_error);
   EXPECT_THROW(PrefillPool(session, 1, 0), std::runtime_error);
 }
 
@@ -470,11 +470,12 @@ TEST(BatchScheduler, OutOfVocabSourceResolvesAsErrorAndLeaksNoRow) {
   }
 }
 
-TEST(BatchScheduler, SyncModeHasNoPool) {
+TEST(BatchScheduler, SyncModeIsAZeroWorkerPool) {
   Transformer model(tiny_transformer_config());
   model.set_training(false);
   BatchScheduler scheduler(model, scheduler_config(2, 8, 0));
-  EXPECT_EQ(scheduler.prefill_pool(), nullptr);
+  ASSERT_NE(scheduler.prefill_pool(), nullptr);
+  EXPECT_EQ(scheduler.prefill_pool()->workers(), 0);
 }
 
 TEST(PrefillPool, ConcurrentPrefixLookupsFromWorkersAreBitIdentical) {
@@ -506,9 +507,17 @@ TEST(PrefillPool, ConcurrentPrefixLookupsFromWorkersAreBitIdentical) {
     sources.push_back(std::move(src));
   }
 
-  BatchScheduler scheduler(model,
-                           scheduler_config(/*max_batch=*/3, max_steps,
-                                            /*prefill_workers=*/3));
+  BatchSchedulerConfig config = scheduler_config(
+      /*max_batch=*/3, max_steps, /*prefill_workers=*/3);
+  // No page pressure, so no cached prefix is ever reclaimed: 3 rows (1
+  // cross + 1 self page each) plus 3 cached sources need at most 9
+  // pages.  With the dense default (6), a duplicate cold prefill (a
+  // second copy of a source fed before the first copy committed) takes
+  // an extra page, so a later acquisition could evict a cached source,
+  // and its re-publish broke the insertion bound below depending on
+  // thread timing.
+  config.session.pool_pages = 12;
+  BatchScheduler scheduler(model, config);
   std::map<index_t, index_t> id_to_source;
   for (index_t i = 0; i < 12; ++i) {
     const Source& s = sources[static_cast<std::size_t>(i % 3)];

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "decode_test_util.h"
@@ -673,6 +674,64 @@ TEST(BatchScheduler, StreamingCallbacksMatchTheResultExactly) {
   EXPECT_EQ(events.front().tick, r.first_token_tick)
       << "TTFT must be the first streamed tick";
   EXPECT_GT(r.first_token_tick, r.submit_tick);
+}
+
+TEST(BatchScheduler, ThrowingCallbackRetiresOnlyItsRowAsError) {
+  // A stream callback that throws fails its own request and nothing
+  // else: the row retires kError exactly once, keeping the tokens decoded
+  // so far (the throwing token included) and the exception's message,
+  // while the rows around it decode on, bit-identical to solo.
+  Transformer model(tiny_transformer_config());
+  model.set_training(false);
+  const index_t max_steps = 10;
+  BatchScheduler scheduler(model, scheduler_config(3, max_steps));
+
+  std::vector<std::vector<index_t>> refs;
+  std::map<index_t, std::size_t> index_of;
+  index_t thrower = -1;
+  for (std::uint64_t seed = 361; refs.size() < 3; ++seed) {
+    const Tensor src = random_src_ids(1, 5, 20, seed);
+    auto ref =
+        model.greedy_decode_reference(src, {}, kBos, kEos, max_steps)[0];
+    if (ref.size() < 3) continue;  // the thrower needs its second token
+    Request req;
+    req.src_ids = src;
+    req.max_new_tokens = max_steps;
+    if (refs.size() == 1) {
+      req.on_token = [](const StreamEvent& e) {
+        if (e.index == 1) throw std::runtime_error("callback failed");
+      };
+    }
+    const index_t id = scheduler.submit(std::move(req));
+    if (refs.size() == 1) thrower = id;
+    index_of[id] = refs.size();
+    refs.push_back(std::move(ref));
+  }
+  scheduler.run();
+
+  auto results = scheduler.take_results();
+  ASSERT_EQ(results.size(), 3u);
+  std::map<index_t, index_t> seen;
+  for (const RequestResult& r : results) {
+    ++seen[r.id];
+    const auto& ref = refs[index_of.at(r.id)];
+    if (r.id == thrower) {
+      EXPECT_EQ(r.reason, FinishReason::kError);
+      EXPECT_EQ(r.error, "callback failed");
+      EXPECT_EQ(r.tokens, std::vector<index_t>(ref.begin(), ref.begin() + 2))
+          << "the decoded prefix survives, the throwing token included";
+    } else {
+      EXPECT_TRUE(r.reason == FinishReason::kEos ||
+                  r.reason == FinishReason::kLength);
+      EXPECT_EQ(r.tokens, ref) << "neighbour " << r.id << " diverged";
+    }
+  }
+  for (const auto& [id, count] : seen) EXPECT_EQ(count, 1) << "id " << id;
+  EXPECT_EQ(scheduler.stats()
+                .per_class[static_cast<std::size_t>(Priority::kNormal)]
+                .errored,
+            1);
+  EXPECT_TRUE(scheduler.idle());
 }
 
 TEST(BatchScheduler, EosIsNeverStreamedAndEmptyResultHasNoTtft) {

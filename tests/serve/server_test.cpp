@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -107,7 +108,8 @@ TEST(Server, SingleShardMatchesSoloReferences) {
 TEST(Server, MultiShardStreamsAreBitIdenticalToSolo) {
   // 4 shards over 4 identically-seeded replicas: whatever shard JSQ
   // picks, every request's tokens match its solo reference — and the
-  // globally unique ids actually spread over more than one shard.
+  // globally unique ids actually spread over more than one shard (JSQ
+  // breaks ties round-robin, so this holds however fast shards drain).
   auto replicas = make_replicas(4);
   const auto cases = make_cases(*replicas[0], 12, 10, 9);
   Server server(raw(replicas), server_config(2, 10));
@@ -242,6 +244,9 @@ TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
   // A burst into one tightly bounded shard: submits outrun the worker's
   // ticks by orders of magnitude, so most of the burst load-sheds; a few
   // survivors get cancelled.  Every id must still resolve exactly once.
+  // Each streamed token stretches its tick, so an admitted request holds
+  // the only row for milliseconds: the shed no longer hinges on the
+  // submitting thread never being descheduled mid-burst.
   auto replicas = make_replicas(1);
   ServerConfig config = server_config(1, 8);
   config.shard.max_queue = 1;
@@ -253,6 +258,9 @@ TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
     req.src_ids = random_src_ids(1, 4, 20,
                                  520 + static_cast<std::uint64_t>(i));
     req.max_new_tokens = 6;
+    req.on_token = [](const StreamEvent&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    };
     ids.push_back(server.submit(std::move(req)));
   }
   server.cancel(ids[0]);  // whatever state it is in — queued, live, shed
@@ -271,6 +279,42 @@ TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
   for (const index_t id : ids) EXPECT_EQ(seen.count(id), 1u);
   EXPECT_GT(sheds, 0) << "a 16-submit burst into max_queue=1 must shed";
   EXPECT_FALSE(server.cancel(ids[0])) << "everything already resolved";
+}
+
+TEST(Server, ThrowingCallbackResolvesErrorAndTheShardKeepsServing) {
+  // A stream callback runs on the shard worker thread; an exception out
+  // of it must not escape that thread (which would terminate the
+  // process).  The request resolves kError and the shard serves on.
+  auto replicas = make_replicas(1);
+  const auto cases = make_cases(*replicas[0], 2, 8, 15);
+  ASSERT_FALSE(cases[0].reference.empty()) << "the callback must fire";
+  Server server(raw(replicas), server_config(2, 8));
+
+  Request bad;
+  bad.src_ids = cases[0].src;
+  bad.max_new_tokens = cases[0].budget;
+  bad.on_token = [](const StreamEvent&) {
+    throw std::runtime_error("client went away");
+  };
+  const index_t bad_id = server.submit(std::move(bad));
+  server.wait_idle();
+  auto results = server.take_results();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].id, bad_id);
+  EXPECT_EQ(results[0].reason, FinishReason::kError);
+  EXPECT_EQ(results[0].error, "client went away");
+  EXPECT_EQ(results[0].tokens,
+            std::vector<index_t>{cases[0].reference.front()});
+
+  Request good;
+  good.src_ids = cases[1].src;
+  good.max_new_tokens = cases[1].budget;
+  const index_t good_id = server.submit(std::move(good));
+  server.wait_idle();
+  results = server.take_results();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].id, good_id);
+  EXPECT_EQ(results[0].tokens, cases[1].reference);
 }
 
 TEST(Server, CancelLandsMidDecodeOnABusyShard) {
