@@ -76,6 +76,15 @@ void gemm(bool trans_a, bool trans_b, index_t m, index_t n, index_t k,
        scratch.data());
 }
 
+void gemm_panel_b(index_t m, index_t n, index_t k, float alpha,
+                  const float* a, index_t lda, const float* b_panels,
+                  float beta, float* c, index_t ldc) {
+  scale_c(m, n, beta, c, ldc);
+  if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
+  detail::run_gemm(active_gemm_backend(), m, n, k, alpha, a, lda,
+                   detail::BDesc{b_panels, n, /*panel=*/true}, c, ldc);
+}
+
 void gemm_prepacked(bool trans_a, index_t m, index_t n, index_t k,
                     float alpha, const float* a, index_t lda,
                     const PackedWeights& b, float beta, float* c,

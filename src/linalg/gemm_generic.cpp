@@ -36,10 +36,9 @@ void generic_row_major(index_t m, index_t n, index_t k, float alpha,
 }
 
 // Tile-panel B: same per-element reduction order (p ascends for every
-// (i, j)), addressing panels of kPanelWidth contiguous columns.  Only
-// reached when a tile-panel pack is consumed through the generic
-// kernel; the normal dispatch routes such packs to the SIMD backend
-// that laid them out.
+// (i, j)), addressing panels of kPanelWidth contiguous columns.  Reached
+// by gemm_panel_b under the generic backend (the conv layers' panel
+// im2col) and by a SIMD tile-panel pack consumed through this kernel.
 void generic_panel(index_t m, index_t n, index_t k, float alpha,
                    const float* a, index_t lda, const float* b, float* c,
                    index_t ldc) {

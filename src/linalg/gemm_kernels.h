@@ -14,13 +14,14 @@
 #pragma once
 
 #include "core/tensor.h"
+#include "linalg/gemm.h"
 #include "linalg/gemm_backend.h"
 
 namespace qdnn::linalg::detail {
 
-// Panel width of the tile-panel pack layout, shared by the AVX2 (6x16)
-// and NEON (4x16) microkernels.
-inline constexpr index_t kPanelWidth = 16;
+// Panel width of the tile-panel layout (gemm.h), shared by the AVX2
+// (6x16) and NEON (4x16) microkernels.
+inline constexpr index_t kPanelWidth = kGemmPanelWidth;
 
 // B operand descriptor.  panel == false: row-major [k,n] with leading
 // dimension ld.  panel == true: tile-panel layout (ld ignored).

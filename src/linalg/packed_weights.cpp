@@ -37,7 +37,7 @@ void PackedWeights::pack(bool trans, index_t k, index_t n, const float* src,
     // FMA stream.
     const index_t w = detail::kPanelWidth;
     const index_t panels = (n + w - 1) / w;
-    data_.assign(static_cast<std::size_t>(panels * k * w), 0.0f);
+    data_.assign(static_cast<std::size_t>(gemm_panel_floats(k, n)), 0.0f);
     for (index_t jp = 0; jp < panels; ++jp) {
       float* panel = data_.data() + jp * k * w;
       const index_t nr = std::min(w, n - jp * w);

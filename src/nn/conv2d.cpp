@@ -8,17 +8,18 @@ namespace qdnn::nn {
 
 namespace {
 
-// Per-sample im2col + GEMM + bias body shared by forward() and
+// Per-sample panel im2col + one gemm + bias, shared by forward() and
 // forward_into() — one definition so training and serving cannot drift.
-// `cols` is caller-provided scratch of patch_size() * n_cols floats.
+// `panels` is caller-provided scratch of
+// linalg::gemm_panel_floats(patch_size(), n_cols) floats.
 void conv_sample_forward(const float* image, index_t h, index_t w,
                          const ConvGeometry& g, const float* weight,
                          const float* bias, index_t out_channels,
-                         index_t n_cols, float* cols, float* out_s) {
+                         index_t n_cols, float* panels, float* out_s) {
   const index_t patch = g.patch_size();
-  im2col(image, h, w, g, cols);
-  linalg::gemm(false, false, out_channels, n_cols, patch, 1.0f, weight,
-               patch, cols, n_cols, 0.0f, out_s, n_cols, nullptr);
+  im2col_panels(image, h, w, g, panels);
+  linalg::gemm_panel_b(out_channels, n_cols, patch, 1.0f, weight, patch,
+                       panels, 0.0f, out_s, n_cols);
   if (bias) {
     for (index_t oc = 0; oc < out_channels; ++oc) {
       const float b = bias[oc];
@@ -47,52 +48,39 @@ Conv2d::Conv2d(index_t in_channels, index_t out_channels, index_t kernel,
 }
 
 Tensor Conv2d::forward(const Tensor& input) {
-  QDNN_CHECK_EQ(input.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input.dim(1), geometry_.in_channels, name_ << ": channels");
+  Tensor out{output_shape(input.shape())};
   cached_input_ = input;
   const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
-  const index_t patch = geometry_.patch_size();
-  const index_t n_cols = oh * ow;
-
-  Tensor out{Shape{n, out_channels_, oh, ow}};
-  std::vector<float> cols(static_cast<std::size_t>(patch * n_cols));
+  const index_t n_cols = out.dim(2) * out.dim(3);
+  std::vector<float> panels(static_cast<std::size_t>(
+      linalg::gemm_panel_floats(geometry_.patch_size(), n_cols)));
   for (index_t s = 0; s < n; ++s)
     conv_sample_forward(input.data() + s * geometry_.in_channels * h * w, h,
                         w, geometry_, weight_.value.data(),
                         has_bias_ ? bias_.value.data() : nullptr,
-                        out_channels_, n_cols, cols.data(),
+                        out_channels_, n_cols, panels.data(),
                         out.data() + s * out_channels_ * n_cols);
   return out;
 }
 
 Shape Conv2d::output_shape(const Shape& input_shape) const {
-  QDNN_CHECK_EQ(input_shape.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input_shape[1], geometry_.in_channels, name_ << ": channels");
-  return Shape{input_shape[0], out_channels_,
-               geometry_.out_extent(input_shape[2]),
-               geometry_.out_extent(input_shape[3])};
+  return conv_output_shape(geometry_, out_channels_, input_shape, name_);
 }
 
 void Conv2d::forward_into(const ConstTensorView& input, const TensorView& output,
                           Workspace& ws) {
-  QDNN_CHECK_EQ(input.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input.dim(1), geometry_.in_channels, name_ << ": channels");
-  const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
-  const index_t patch = geometry_.patch_size();
-  const index_t n_cols = oh * ow;
-  QDNN_CHECK(output.rank() == 4 && output.dim(0) == n &&
-                 output.dim(1) == out_channels_ && output.dim(2) == oh &&
-                 output.dim(3) == ow,
+  const Shape out_shape = output_shape(input.shape());
+  QDNN_CHECK(output.shape() == out_shape,
              name_ << ": bad output view " << output.shape());
-
-  float* cols = ws.alloc(patch * n_cols);
+  const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
+  const index_t n_cols = out_shape[2] * out_shape[3];
+  float* panels =
+      ws.alloc(linalg::gemm_panel_floats(geometry_.patch_size(), n_cols));
   for (index_t s = 0; s < n; ++s)
     conv_sample_forward(input.data() + s * geometry_.in_channels * h * w, h,
                         w, geometry_, weight_.value.data(),
                         has_bias_ ? bias_.value.data() : nullptr,
-                        out_channels_, n_cols, cols,
+                        out_channels_, n_cols, panels,
                         output.data() + s * out_channels_ * n_cols);
 }
 

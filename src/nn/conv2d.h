@@ -1,8 +1,9 @@
 // Conv2d: standard (linear-neuron) 2-D convolution, [N,C,H,W] layout.
 //
-// Implemented as im2col + GEMM.  Each output channel is one linear neuron
-// with fan-in n = C·K² sweeping the image — the baseline whose parameter
-// and MAC cost the paper's Table I compares against.
+// Implemented as panel im2col + one GEMM per sample.  Each output
+// channel is one linear neuron with fan-in n = C·K² sweeping the image —
+// the baseline whose parameter and MAC cost the paper's Table I compares
+// against.
 #pragma once
 
 #include "nn/im2col.h"
@@ -20,15 +21,17 @@ class Conv2d : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  // v2: im2col patches live in the workspace instead of a per-call vector.
+  // v2: each sample's patches are written in the gemm's tile-panel
+  // layout (im2col_panels) into the workspace, and one gemm writes the
+  // output channels directly.
   Shape output_shape(const Shape& input_shape) const override;
   bool supports_forward_into() const override { return true; }
   void forward_into(const ConstTensorView& input, const TensorView& output,
                     Workspace& ws) override;
 
-  // The weight side of the im2col GEMM is consumed untransposed — the
-  // [out, patch] parameter already IS the packed operand layout — so
-  // freeze has no pack to materialize (and deliberately does not copy the
+  // The [out, patch] weight is the gemm's A operand, read row by row
+  // untransposed, and the patch side is laid out per call — so freeze
+  // has no pack to materialize (and deliberately does not copy the
   // weights); it only drops the training cache.
   void freeze() override;
 

@@ -1,5 +1,6 @@
 #include "quadratic/quad_conv.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -8,39 +9,6 @@
 #include "quadratic/kervolution.h"
 
 namespace qdnn::quadratic {
-
-namespace {
-
-// Per-sample output assembly shared by ProposedQuadConv2d::forward and
-// ::forward_into — one definition so training and serving cannot drift.
-// lin is [filters, n_cols], f_s is [filters*rank, n_cols]; writes the
-// channel interleave [y_f, f_1..f_k] per filter into out_s.
-void assemble_proposed_conv_sample(const float* lin, const float* f_s,
-                                   const float* lambda, const float* bias,
-                                   index_t filters, index_t rank,
-                                   index_t n_cols, bool emit_features,
-                                   float* out_s) {
-  const index_t ch_per_filter = emit_features ? rank + 1 : 1;
-  for (index_t f = 0; f < filters; ++f) {
-    const float* lam = lambda + f * rank;
-    float* y_row = out_s + f * ch_per_filter * n_cols;
-    const float* lin_row = lin + f * n_cols;
-    const float b = bias[f];
-    for (index_t j = 0; j < n_cols; ++j) y_row[j] = lin_row[j] + b;
-    for (index_t i = 0; i < rank; ++i) {
-      const float* f_row = f_s + (f * rank + i) * n_cols;
-      const float l = lam[i];
-      for (index_t j = 0; j < n_cols; ++j)
-        y_row[j] += l * f_row[j] * f_row[j];
-      if (emit_features) {
-        float* o_row = y_row + (1 + i) * n_cols;
-        for (index_t j = 0; j < n_cols; ++j) o_row[j] = f_row[j];
-      }
-    }
-  }
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ProposedQuadConv2d
@@ -73,79 +41,99 @@ ProposedQuadConv2d::ProposedQuadConv2d(index_t in_channels, index_t filters,
   b_.decay = false;
 }
 
+void ProposedQuadConv2d::fuse_weights(float* fused) const {
+  const index_t patch = geometry_.patch_size();
+  for (index_t f = 0; f < filters_; ++f) {
+    float* dst = fused + f * (rank_ + 1) * patch;
+    std::copy_n(w_.value.data() + f * patch, patch, dst);
+    std::copy_n(q_.value.data() + f * rank_ * patch, rank_ * patch,
+                dst + patch);
+  }
+}
+
+const float* ProposedQuadConv2d::forward_sample(const float* image,
+                                                index_t h, index_t w,
+                                                const float* fused,
+                                                float* panels, float* scratch,
+                                                float* out_s) const {
+  const index_t n_cols =
+      geometry_.out_extent(h) * geometry_.out_extent(w);
+  const index_t per = rank_ + 1;
+  // One gemm yields every filter's [y₁, f_1..f_k] rows — with features
+  // emitted, exactly the output's channel layout.
+  float* lin = emit_features_ ? out_s : scratch;
+  nn::im2col_panels(image, h, w, geometry_, panels);
+  linalg::gemm_panel_b(filters_ * per, n_cols, geometry_.patch_size(), 1.0f,
+                       fused, geometry_.patch_size(), panels, 0.0f, lin,
+                       n_cols);
+  // y = y₁ + b + Σᵢ λᵢ·fᵢ², in place over y₁ when features are emitted.
+  const index_t ch_per_filter = emit_features_ ? per : 1;
+  for (index_t f = 0; f < filters_; ++f) {
+    const float* lin_f = lin + f * per * n_cols;
+    float* y_row = out_s + f * ch_per_filter * n_cols;
+    const float b = b_.value[f];
+    for (index_t j = 0; j < n_cols; ++j) y_row[j] = lin_f[j] + b;
+    for (index_t i = 0; i < rank_; ++i) {
+      const float* f_row = lin_f + (1 + i) * n_cols;
+      const float l = lambda_.value[f * rank_ + i];
+      for (index_t j = 0; j < n_cols; ++j)
+        y_row[j] += l * f_row[j] * f_row[j];
+    }
+  }
+  return lin;
+}
+
 Tensor ProposedQuadConv2d::forward(const Tensor& input) {
-  QDNN_CHECK_EQ(input.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input.dim(1), geometry_.in_channels, name_ << ": channels");
+  Tensor out{output_shape(input.shape())};
   cached_input_ = input;
   const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
   const index_t patch = geometry_.patch_size();
-  const index_t n_cols = oh * ow;
-  const index_t fr = filters_ * rank_;
+  const index_t n_cols = out.dim(2) * out.dim(3);
+  const index_t per = rank_ + 1;
 
-  Tensor out{Shape{n, out_channels(), oh, ow}};
-  cached_f_ = Tensor{Shape{n, fr, n_cols}};
-  std::vector<float> cols(static_cast<std::size_t>(patch * n_cols));
-  std::vector<float> lin(static_cast<std::size_t>(filters_ * n_cols));
+  cached_f_ = Tensor{Shape{n, filters_ * rank_, n_cols}};
+  std::vector<float> fused(static_cast<std::size_t>(filters_ * per * patch));
+  std::vector<float> panels(
+      static_cast<std::size_t>(linalg::gemm_panel_floats(patch, n_cols)));
+  std::vector<float> scratch(
+      emit_features_ ? 0 : static_cast<std::size_t>(filters_ * per * n_cols));
+  fuse_weights(fused.data());
   for (index_t s = 0; s < n; ++s) {
-    nn::im2col(input.data() + s * geometry_.in_channels * h * w, h, w,
-               geometry_, cols.data());
-    // Linear responses y₁ and intermediate features fᵏ in two GEMMs.
-    linalg::gemm(false, false, filters_, n_cols, patch, 1.0f,
-                 w_.value.data(), patch, cols.data(), n_cols, 0.0f,
-                 lin.data(), n_cols);
-    float* f_s = cached_f_.data() + s * fr * n_cols;
-    linalg::gemm(false, false, fr, n_cols, patch, 1.0f, q_.value.data(),
-                 patch, cols.data(), n_cols, 0.0f, f_s, n_cols);
-
-    assemble_proposed_conv_sample(lin.data(), f_s, lambda_.value.data(),
-                                  b_.value.data(), filters_, rank_, n_cols,
-                                  emit_features_,
-                                  out.data() + s * out_channels() * n_cols);
+    const float* lin = forward_sample(
+        input.data() + s * geometry_.in_channels * h * w, h, w, fused.data(),
+        panels.data(), scratch.data(),
+        out.data() + s * out_channels() * n_cols);
+    // Backward needs fᵏ: the serving body's rows, copied per filter.
+    float* f_s = cached_f_.data() + s * filters_ * rank_ * n_cols;
+    for (index_t f = 0; f < filters_; ++f)
+      std::copy_n(lin + (f * per + 1) * n_cols, rank_ * n_cols,
+                  f_s + f * rank_ * n_cols);
   }
   return out;
 }
 
 Shape ProposedQuadConv2d::output_shape(const Shape& input_shape) const {
-  QDNN_CHECK_EQ(input_shape.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input_shape[1], geometry_.in_channels,
-                name_ << ": channels");
-  return Shape{input_shape[0], out_channels(),
-               geometry_.out_extent(input_shape[2]),
-               geometry_.out_extent(input_shape[3])};
+  return nn::conv_output_shape(geometry_, out_channels(), input_shape, name_);
 }
 
 void ProposedQuadConv2d::forward_into(const ConstTensorView& input,
                                       const TensorView& output, Workspace& ws) {
-  QDNN_CHECK_EQ(input.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input.dim(1), geometry_.in_channels, name_ << ": channels");
-  const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
-  const index_t patch = geometry_.patch_size();
-  const index_t n_cols = oh * ow;
-  const index_t fr = filters_ * rank_;
-  QDNN_CHECK(output.rank() == 4 && output.dim(0) == n &&
-                 output.dim(1) == out_channels() && output.dim(2) == oh &&
-                 output.dim(3) == ow,
+  const Shape out_shape = output_shape(input.shape());
+  QDNN_CHECK(output.shape() == out_shape,
              name_ << ": bad output view " << output.shape());
+  const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
+  const index_t patch = geometry_.patch_size();
+  const index_t n_cols = out_shape[2] * out_shape[3];
+  const index_t per = rank_ + 1;
 
-  float* cols = ws.alloc(patch * n_cols);
-  float* lin = ws.alloc(filters_ * n_cols);
-  float* f_s = ws.alloc(fr * n_cols);
-  for (index_t s = 0; s < n; ++s) {
-    nn::im2col(input.data() + s * geometry_.in_channels * h * w, h, w,
-               geometry_, cols);
-    linalg::gemm(false, false, filters_, n_cols, patch, 1.0f,
-                 w_.value.data(), patch, cols, n_cols, 0.0f, lin, n_cols,
-                 nullptr);
-    linalg::gemm(false, false, fr, n_cols, patch, 1.0f, q_.value.data(),
-                 patch, cols, n_cols, 0.0f, f_s, n_cols, nullptr);
-
-    assemble_proposed_conv_sample(
-        lin, f_s, lambda_.value.data(), b_.value.data(), filters_, rank_,
-        n_cols, emit_features_,
-        output.data() + s * out_channels() * n_cols);
-  }
+  float* fused = ws.alloc(filters_ * per * patch);
+  float* panels = ws.alloc(linalg::gemm_panel_floats(patch, n_cols));
+  float* scratch = emit_features_ ? nullptr : ws.alloc(filters_ * per * n_cols);
+  fuse_weights(fused);
+  for (index_t s = 0; s < n; ++s)
+    forward_sample(input.data() + s * geometry_.in_channels * h * w, h, w,
+                   fused, panels, scratch,
+                   output.data() + s * out_channels() * n_cols);
 }
 
 void ProposedQuadConv2d::freeze() {
@@ -264,20 +252,14 @@ FactoredQuadConv2d::FactoredQuadConv2d(index_t in_channels,
 }
 
 Shape FactoredQuadConv2d::output_shape(const Shape& input_shape) const {
-  QDNN_CHECK_EQ(input_shape.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input_shape[1], geometry_.in_channels,
-                name_ << ": channels");
-  return Shape{input_shape[0], filters_,
-               geometry_.out_extent(input_shape[2]),
-               geometry_.out_extent(input_shape[3])};
+  return nn::conv_output_shape(geometry_, filters_, input_shape, name_);
 }
 
 Tensor FactoredQuadConv2d::forward(const Tensor& input) {
-  QDNN_CHECK_EQ(input.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input.dim(1), geometry_.in_channels, name_ << ": channels");
+  const Shape out_shape = output_shape(input.shape());
   cached_input_ = input;
   const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
+  const index_t oh = out_shape[2], ow = out_shape[3];
   const index_t patch = geometry_.patch_size();
   const index_t n_cols = oh * ow;
 
@@ -442,20 +424,14 @@ LowRankQuadConv2d::LowRankQuadConv2d(index_t in_channels,
 }
 
 Shape LowRankQuadConv2d::output_shape(const Shape& input_shape) const {
-  QDNN_CHECK_EQ(input_shape.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input_shape[1], geometry_.in_channels,
-                name_ << ": channels");
-  return Shape{input_shape[0], filters_,
-               geometry_.out_extent(input_shape[2]),
-               geometry_.out_extent(input_shape[3])};
+  return nn::conv_output_shape(geometry_, filters_, input_shape, name_);
 }
 
 Tensor LowRankQuadConv2d::forward(const Tensor& input) {
-  QDNN_CHECK_EQ(input.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input.dim(1), geometry_.in_channels, name_ << ": channels");
+  const Shape out_shape = output_shape(input.shape());
   cached_input_ = input;
   const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
+  const index_t oh = out_shape[2], ow = out_shape[3];
   const index_t patch = geometry_.patch_size();
   const index_t n_cols = oh * ow;
   const index_t fr = filters_ * rank_;
@@ -578,20 +554,14 @@ GeneralQuadConv2d::GeneralQuadConv2d(index_t in_channels,
 }
 
 Shape GeneralQuadConv2d::output_shape(const Shape& input_shape) const {
-  QDNN_CHECK_EQ(input_shape.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input_shape[1], geometry_.in_channels,
-                name_ << ": channels");
-  return Shape{input_shape[0], filters_,
-               geometry_.out_extent(input_shape[2]),
-               geometry_.out_extent(input_shape[3])};
+  return nn::conv_output_shape(geometry_, filters_, input_shape, name_);
 }
 
 Tensor GeneralQuadConv2d::forward(const Tensor& input) {
-  QDNN_CHECK_EQ(input.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input.dim(1), geometry_.in_channels, name_ << ": channels");
+  const Shape out_shape = output_shape(input.shape());
   cached_input_ = input;
   const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
+  const index_t oh = out_shape[2], ow = out_shape[3];
   const index_t patch = geometry_.patch_size();
   const index_t n_cols = oh * ow;
 

@@ -37,15 +37,21 @@ class ProposedQuadConv2d : public nn::Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  // v2: im2col patches, linear responses and fᵏ all live in the
-  // workspace — the serving path of the paper's Fig. 3 deployment.
+  // v2: the serving path of the paper's Fig. 3 deployment.  W·x and
+  // every Qᵏ·x come from one gemm over one panel im2col of each sample,
+  // written straight into the output channels; only the fused weights
+  // and the patch panels live in the workspace (plus the gemm result in
+  // sum-only mode, where fᵏ is not an output channel).
   Shape output_shape(const Shape& input_shape) const override;
   bool supports_forward_into() const override { return true; }
   void forward_into(const ConstTensorView& input, const TensorView& output,
                     Workspace& ws) override;
 
-  // W and Q are consumed untransposed by the im2col GEMMs (already the
-  // packed operand layout), so freeze only drops the training caches.
+  // W and Q are the gemm's A operand, interleaved per filter into
+  // [w_f; q_f1..q_fk] rows by each forward call (a copy of
+  // (k+1)·patch floats per filter, small next to the gemm); the gemm
+  // reads A row by row untransposed, so there is nothing to pack and
+  // freeze only drops the training caches.
   void freeze() override;
 
   std::vector<nn::Parameter*> parameters() override;
@@ -65,6 +71,18 @@ class ProposedQuadConv2d : public nn::Module {
   nn::Parameter& bias() { return b_; }
 
  private:
+  // Writes W and Q interleaved per filter, [w_f; q_f1..q_fk], into
+  // `fused` ([filters·(rank+1), patch]).
+  void fuse_weights(float* fused) const;
+  // One sample's forward, shared by forward() and forward_into() so
+  // training and serving cannot drift: panel im2col, one fused gemm,
+  // then y = y₁ + b + Σλᵢfᵢ² in place.  Returns the gemm result
+  // ([filters·(rank+1), OH·OW] rows [y₁_f, f_1..f_k]): out_s itself
+  // when features are emitted, else `scratch`.
+  const float* forward_sample(const float* image, index_t h, index_t w,
+                              const float* fused, float* panels,
+                              float* scratch, float* out_s) const;
+
   nn::ConvGeometry geometry_;
   index_t filters_, rank_;
   bool emit_features_;

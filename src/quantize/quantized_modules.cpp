@@ -190,10 +190,9 @@ QuantizedConv2d::QuantizedConv2d(nn::Conv2d& trained, const Tensor& sample,
 }
 
 Tensor QuantizedConv2d::forward(const Tensor& input) {
-  QDNN_CHECK_EQ(input.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input.dim(1), geometry_.in_channels, name_ << ": channels");
+  const Shape out_shape = output_shape(input.shape());
   const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
+  const index_t oh = out_shape[2], ow = out_shape[3];
   const index_t n_cols = oh * ow;
   const index_t patch = geometry_.patch_size();
 
@@ -256,10 +255,9 @@ QuantizedProposedConv2d::QuantizedProposedConv2d(
 }
 
 Tensor QuantizedProposedConv2d::forward(const Tensor& input) {
-  QDNN_CHECK_EQ(input.rank(), 4, name_ << ": expected [N,C,H,W]");
-  QDNN_CHECK_EQ(input.dim(1), geometry_.in_channels, name_ << ": channels");
+  const Shape out_shape = output_shape(input.shape());
   const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
+  const index_t oh = out_shape[2], ow = out_shape[3];
   const index_t n_cols = oh * ow;
   const index_t patch = geometry_.patch_size();
   const index_t fr = filters_ * rank_;

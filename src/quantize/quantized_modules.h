@@ -104,10 +104,7 @@ class QuantizedConv2d : public nn::Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   Shape output_shape(const Shape& input_shape) const override {
-    QDNN_CHECK_EQ(input_shape.rank(), 4, name_ << ": expected [N,C,H,W]");
-    return Shape{input_shape[0], out_channels_,
-                 geometry_.out_extent(input_shape[2]),
-                 geometry_.out_extent(input_shape[3])};
+    return nn::conv_output_shape(geometry_, out_channels_, input_shape, name_);
   }
   std::vector<nn::Parameter*> parameters() override { return {}; }
   std::string name() const override { return name_; }
@@ -136,10 +133,7 @@ class QuantizedProposedConv2d : public nn::Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   Shape output_shape(const Shape& input_shape) const override {
-    QDNN_CHECK_EQ(input_shape.rank(), 4, name_ << ": expected [N,C,H,W]");
-    return Shape{input_shape[0], out_channels(),
-                 geometry_.out_extent(input_shape[2]),
-                 geometry_.out_extent(input_shape[3])};
+    return nn::conv_output_shape(geometry_, out_channels(), input_shape, name_);
   }
   std::vector<nn::Parameter*> parameters() override { return {}; }
   std::string name() const override { return name_; }

@@ -2,18 +2,23 @@
 // must be bit-identical to gemm()'s per-call packing path across
 // transpose flags, ragged tail sizes (M, N, K not multiples of the
 // blocked kernel's tiles), and reuse of one PackedWeights across many
-// calls — the property Module::freeze rests on.
+// calls — the property Module::freeze rests on.  The same cases hold
+// gemm_panel_b, the entry the conv layers feed their panel im2col to,
+// to the row-major gemm it replaces.
 #include "linalg/packed_weights.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "backend_util.h"
 #include "core/rng.h"
 #include "linalg/gemm.h"
 
 namespace qdnn::linalg {
 namespace {
+
+using qdnn::testing::for_each_gemm_backend;
 
 Tensor random_tensor(Shape shape, std::uint64_t seed) {
   Rng rng(seed);
@@ -55,6 +60,22 @@ void expect_prepacked_matches(bool trans_a, bool trans_b, index_t m,
   EXPECT_EQ(max_abs_diff(c_ref, c_pre), 0.0f)
       << "trans_a=" << trans_a << " trans_b=" << trans_b << " m=" << m
       << " n=" << n << " k=" << k;
+
+  if (trans_a) return;  // gemm_panel_b takes A untransposed
+  // op(B) laid into tile panels by hand, tail lanes zero.
+  const index_t pw = kGemmPanelWidth;
+  std::vector<float> panels(static_cast<std::size_t>(gemm_panel_floats(k, n)),
+                            0.0f);
+  for (index_t p = 0; p < k; ++p)
+    for (index_t j = 0; j < n; ++j)
+      panels[static_cast<std::size_t>((j / pw) * k * pw + p * pw + j % pw)] =
+          trans_b ? b[j * ldb + p] : b[p * ldb + j];
+  Tensor c_panel = random_tensor(Shape{m, n}, seed + 2);
+  gemm_panel_b(m, n, k, alpha, a.data(), lda, panels.data(), beta,
+               c_panel.data(), n);
+  EXPECT_EQ(max_abs_diff(c_ref, c_panel), 0.0f)
+      << "panel B: trans_b=" << trans_b << " m=" << m << " n=" << n
+      << " k=" << k;
 }
 
 TEST(GemmPrepacked, BitIdenticalAcrossTransposeFlags) {
@@ -65,22 +86,28 @@ TEST(GemmPrepacked, BitIdenticalAcrossTransposeFlags) {
 }
 
 TEST(GemmPrepacked, BitIdenticalOnRaggedTailSizes) {
-  // The gemm kernel blocks I by 64 and K by 256; exercise sizes straddling
-  // both tile edges plus deliberately awkward primes.
-  const index_t sizes[] = {1, 3, 63, 64, 65};
-  for (index_t m : sizes)
-    for (index_t n : {static_cast<index_t>(1), static_cast<index_t>(5),
-                      static_cast<index_t>(65)})
-      expect_prepacked_matches(false, true, m, n, 257, 1.0f, 0.0f,
-                               100 + m * 7 + n);
+  // The generic kernel blocks I by 64 and K by 256, the SIMD ones tile
+  // 16 columns; exercise sizes straddling those edges plus deliberately
+  // awkward primes, under every backend.
+  for_each_gemm_backend([](GemmBackend) {
+    const index_t sizes[] = {1, 3, 63, 64, 65};
+    for (index_t m : sizes)
+      for (index_t n : {1, 5, 16, 65})
+        for (bool trans_b : {true, false})
+          expect_prepacked_matches(false, trans_b, m, n, 257, 1.0f, 0.0f,
+                                   100 + m * 7 + n);
+  });
 }
 
 TEST(GemmPrepacked, HonorsAlphaAndBeta) {
-  expect_prepacked_matches(false, true, 6, 10, 13, 0.5f, 1.0f, 31);
-  expect_prepacked_matches(false, true, 6, 10, 13, -2.0f, 0.25f, 37);
-  expect_prepacked_matches(true, false, 6, 10, 13, 1.5f, 1.0f, 41);
-  // alpha = 0 leaves only the beta scaling.
-  expect_prepacked_matches(false, true, 6, 10, 13, 0.0f, 0.5f, 43);
+  for_each_gemm_backend([](GemmBackend) {
+    expect_prepacked_matches(false, true, 6, 10, 13, 0.5f, 1.0f, 31);
+    expect_prepacked_matches(false, true, 6, 10, 13, -2.0f, 0.25f, 37);
+    expect_prepacked_matches(true, false, 6, 10, 13, 1.5f, 1.0f, 41);
+    expect_prepacked_matches(false, false, 7, 21, 13, 1.5f, -0.5f, 47);
+    // alpha = 0 leaves only the beta scaling.
+    expect_prepacked_matches(false, true, 6, 10, 13, 0.0f, 0.5f, 43);
+  });
 }
 
 TEST(GemmPrepacked, OnePackReusedAcrossManyCallsAndShapes) {

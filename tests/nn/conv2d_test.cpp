@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "backend_util.h"
 #include "gradcheck_util.h"
+#include "linalg/gemm.h"
 
 namespace qdnn::nn {
 namespace {
 
+using qdnn::testing::for_each_gemm_backend;
 using qdnn::testing::gradcheck_module;
 using qdnn::testing::random_tensor;
 
@@ -77,6 +83,59 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{3, 2, 8, 3, 2}, std::tuple{2, 3, 5, 1, 1},
                       std::tuple{4, 2, 7, 5, 1},
                       std::tuple{2, 2, 9, 3, 3}));
+
+// forward_into ≡ forward ≡ row-major im2col + gemm + bias, bit for bit,
+// under every backend, over geometries whose n_cols (1, 49, 45, 57) is
+// off the 16-column panel grid.
+TEST(Conv2d, PanelPathBitIdenticalToRowMajorGemm) {
+  for_each_gemm_backend([](linalg::GemmBackend) {
+    int cases = 0;
+    for (index_t kernel : {1, 3, 5})
+      for (index_t stride : {1, 2})
+        for (index_t pad : {0, 1})
+          for (auto [oh, ow] : {std::pair<index_t, index_t>{1, 1},
+                                {7, 7},
+                                {5, 9},
+                                {3, 19}})
+            for (bool bias : {true, false}) {
+              const index_t h = (oh - 1) * stride + kernel - 2 * pad;
+              const index_t w = (ow - 1) * stride + kernel - 2 * pad;
+              if (h < 1 || w < 1) continue;
+              SCOPED_TRACE("k=" + std::to_string(kernel) +
+                           " s=" + std::to_string(stride) +
+                           " p=" + std::to_string(pad) + " out=" +
+                           std::to_string(oh) + "x" + std::to_string(ow));
+              Rng rng(30 + cases);
+              Conv2d conv(3, 5, kernel, stride, pad, rng, bias);
+              if (bias) rng.fill_uniform(conv.bias().value, -1.0f, 1.0f);
+              const Tensor x = random_tensor(Shape{2, 3, h, w}, 70 + cases++);
+              const Tensor y = conv.forward(x);
+              ASSERT_EQ(y.shape(), Shape({2, 5, oh, ow}));
+              Tensor y_into{y.shape()};
+              Workspace ws;
+              conv.forward_into(x, y_into, ws);
+
+              const ConvGeometry& g = conv.geometry();
+              const index_t n_cols = oh * ow, patch = g.patch_size();
+              Tensor ref{y.shape()};
+              std::vector<float> cols(static_cast<std::size_t>(patch * n_cols));
+              for (index_t s = 0; s < 2; ++s) {
+                im2col(x.data() + s * 3 * h * w, h, w, g, cols.data());
+                float* out_s = ref.data() + s * 5 * n_cols;
+                linalg::gemm(false, false, 5, n_cols, patch, 1.0f,
+                             conv.weight().value.data(), patch, cols.data(),
+                             n_cols, 0.0f, out_s, n_cols);
+                if (bias)
+                  for (index_t oc = 0; oc < 5; ++oc)
+                    for (index_t j = 0; j < n_cols; ++j)
+                      out_s[oc * n_cols + j] += conv.bias().value[oc];
+              }
+              EXPECT_EQ(max_abs_diff(y, ref), 0.0f);
+              EXPECT_EQ(max_abs_diff(y_into, ref), 0.0f);
+            }
+    EXPECT_GT(cases, 60);
+  });
+}
 
 TEST(Conv2d, Gradcheck) {
   Rng rng(20);

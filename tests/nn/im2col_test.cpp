@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "core/rng.h"
+#include "linalg/gemm.h"
 
 namespace qdnn::nn {
 namespace {
@@ -92,6 +96,52 @@ TEST_P(Im2colAdjoint, AdjointProperty) {
     rhs += static_cast<double>(x[i]) * xg[i];
 
   EXPECT_NEAR(lhs, rhs, 1e-3 * (1.0 + std::fabs(lhs)));
+}
+
+// im2col_panels holds exactly the row-major patch matrix re-laid into
+// gemm's tile panels, bit for bit, with every lane past OH·OW zero.  The
+// buffer starts as NaN so a lane the panel writer skips shows up.
+TEST(Im2colPanels, MatchesRowMajorRelaidIntoPanels) {
+  constexpr index_t kW = linalg::kGemmPanelWidth;
+  int cases = 0;
+  for (index_t kernel : {1, 3, 5})
+    for (index_t stride : {1, 2})
+      for (index_t pad : {0, 1})
+        for (auto [h, w] : {std::pair<index_t, index_t>{1, 1},
+                            {3, 3},
+                            {7, 7},
+                            {5, 9},
+                            {8, 8},
+                            {9, 21},
+                            {32, 32}}) {
+          if (h + 2 * pad < kernel || w + 2 * pad < kernel) continue;
+          const ConvGeometry g{2, kernel, stride, pad};
+          const index_t n_cols = g.out_extent(h) * g.out_extent(w);
+          const index_t patch = g.patch_size();
+          Rng rng(90 + cases++);
+          Tensor img{Shape{2, h, w}};
+          rng.fill_uniform(img, -1.0f, 1.0f);
+          std::vector<float> cols(static_cast<std::size_t>(patch * n_cols));
+          im2col(img.data(), h, w, g, cols.data());
+          std::vector<float> panels(
+              static_cast<std::size_t>(
+                  linalg::gemm_panel_floats(patch, n_cols)),
+              std::numeric_limits<float>::quiet_NaN());
+          im2col_panels(img.data(), h, w, g, panels.data());
+          for (index_t jp = 0; jp * kW < n_cols; ++jp)
+            for (index_t p = 0; p < patch; ++p)
+              for (index_t lane = 0; lane < kW; ++lane) {
+                const index_t j = jp * kW + lane;
+                const float want = j < n_cols ? cols[p * n_cols + j] : 0.0f;
+                const float got = panels[(jp * patch + p) * kW + lane];
+                ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+                    << "k=" << kernel << " s=" << stride << " p=" << pad
+                    << " in=" << h << "x" << w << " panel " << jp
+                    << " row " << p << " lane " << lane << ": " << got
+                    << " vs " << want;
+              }
+        }
+  EXPECT_GT(cases, 60);
 }
 
 INSTANTIATE_TEST_SUITE_P(

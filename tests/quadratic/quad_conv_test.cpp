@@ -2,14 +2,146 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "backend_util.h"
 #include "gradcheck_util.h"
+#include "linalg/gemm.h"
+#include "nn/conv2d.h"
 #include "quadratic/quad_dense.h"
 
 namespace qdnn::quadratic {
 namespace {
 
+using qdnn::testing::for_each_gemm_backend;
 using qdnn::testing::gradcheck_module;
 using qdnn::testing::random_tensor;
+
+// The proposed conv as two separate row-major gemms (W·cols, then
+// Q·cols) and a per-filter assembly of [y, f_1..f_k] — the computation
+// the fused serving body must reproduce bit for bit.
+Tensor proposed_conv_reference(ProposedQuadConv2d& conv, const Tensor& x) {
+  const nn::ConvGeometry& g = conv.geometry();
+  const index_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const index_t oh = g.out_extent(h), ow = g.out_extent(w);
+  const index_t n_cols = oh * ow, patch = g.patch_size();
+  const index_t filters = conv.filters(), rank = conv.rank();
+  const index_t ch_per_filter = conv.emit_features() ? rank + 1 : 1;
+  Tensor out{Shape{n, conv.out_channels(), oh, ow}};
+  std::vector<float> cols(static_cast<std::size_t>(patch * n_cols));
+  std::vector<float> lin(static_cast<std::size_t>(filters * n_cols));
+  std::vector<float> f_s(static_cast<std::size_t>(filters * rank * n_cols));
+  for (index_t s = 0; s < n; ++s) {
+    nn::im2col(x.data() + s * g.in_channels * h * w, h, w, g, cols.data());
+    linalg::gemm(false, false, filters, n_cols, patch, 1.0f,
+                 conv.w().value.data(), patch, cols.data(), n_cols, 0.0f,
+                 lin.data(), n_cols);
+    linalg::gemm(false, false, filters * rank, n_cols, patch, 1.0f,
+                 conv.q().value.data(), patch, cols.data(), n_cols, 0.0f,
+                 f_s.data(), n_cols);
+    float* out_s = out.data() + s * conv.out_channels() * n_cols;
+    for (index_t f = 0; f < filters; ++f) {
+      float* y_row = out_s + f * ch_per_filter * n_cols;
+      for (index_t j = 0; j < n_cols; ++j)
+        y_row[j] = lin[f * n_cols + j] + conv.bias().value[f];
+      for (index_t i = 0; i < rank; ++i) {
+        const float* f_row = f_s.data() + (f * rank + i) * n_cols;
+        const float l = conv.lambda().value[f * rank + i];
+        for (index_t j = 0; j < n_cols; ++j)
+          y_row[j] += l * f_row[j] * f_row[j];
+        if (conv.emit_features())
+          std::copy_n(f_row, n_cols, y_row + (1 + i) * n_cols);
+      }
+    }
+  }
+  return out;
+}
+
+// forward_into ≡ forward ≡ the two-gemm reference, bit for bit, under
+// every backend, over kernels, strides and paddings whose output extents
+// leave n_cols off the 16-column panel grid (1, 49, 45 and 57 columns;
+// the 19-wide rows also take the 16-float copy path at stride 1), with
+// the fᵏ channels emitted and in sum-only mode.
+TEST(ProposedConv, ServingPathBitIdenticalToTwoGemmReference) {
+  for_each_gemm_backend([](linalg::GemmBackend) {
+    int cases = 0;
+    for (index_t kernel : {1, 3, 5})
+      for (index_t stride : {1, 2})
+        for (index_t pad : {0, 1})
+          for (auto [oh, ow] : {std::pair<index_t, index_t>{1, 1},
+                                {7, 7},
+                                {5, 9},
+                                {3, 19}})
+            for (bool emit : {true, false}) {
+              // Smallest input with these output extents.
+              const index_t h = (oh - 1) * stride + kernel - 2 * pad;
+              const index_t w = (ow - 1) * stride + kernel - 2 * pad;
+              if (h < 1 || w < 1) continue;
+              SCOPED_TRACE("k=" + std::to_string(kernel) +
+                           " s=" + std::to_string(stride) +
+                           " p=" + std::to_string(pad) + " out=" +
+                           std::to_string(oh) + "x" + std::to_string(ow) +
+                           " emit=" + std::to_string(emit));
+              Rng rng(40 + cases);
+              ProposedQuadConv2d conv(3, 2, kernel, stride, pad, 3, rng,
+                                      1e-3f, "sweep", emit);
+              const Tensor x =
+                  random_tensor(Shape{2, 3, h, w}, 80 + cases++);
+              const Tensor y = conv.forward(x);
+              ASSERT_EQ(y.shape(), Shape({2, conv.out_channels(), oh, ow}));
+              Tensor y_into{y.shape()};
+              Workspace ws;
+              conv.forward_into(x, y_into, ws);
+              const Tensor ref = proposed_conv_reference(conv, x);
+              EXPECT_EQ(max_abs_diff(y, ref), 0.0f);
+              EXPECT_EQ(max_abs_diff(y_into, ref), 0.0f);
+            }
+    EXPECT_GT(cases, 60);
+  });
+}
+
+// A window larger than the padded input has no valid output position;
+// every conv family rejects it by name instead of sizing a 0 or negative
+// extent.
+TEST(ConvGeometry, KernelLargerThanPaddedInputThrowsNamingLayer) {
+  Rng rng(60);
+  const Tensor x = random_tensor(Shape{1, 2, 3, 3}, 61);
+  for (index_t kernel : {4, 5}) {
+    std::vector<nn::ModulePtr> layers;
+    layers.push_back(std::make_unique<nn::Conv2d>(2, 3, kernel, 1, 0, rng,
+                                                  true, "big_conv"));
+    layers.push_back(std::make_unique<ProposedQuadConv2d>(
+        2, 1, kernel, 1, 0, 2, rng, 1e-3f, "big_proposed"));
+    layers.push_back(std::make_unique<FactoredQuadConv2d>(
+        2, 3, kernel, 1, 0, NeuronKind::kQuad2, rng, "big_factored"));
+    layers.push_back(std::make_unique<LowRankQuadConv2d>(
+        2, 3, kernel, 1, 0, 2, rng, "big_lowrank"));
+    layers.push_back(std::make_unique<GeneralQuadConv2d>(
+        2, 3, kernel, 1, 0, true, rng, "big_general"));
+    for (const nn::ModulePtr& layer : layers) {
+      for (bool via_forward : {false, true}) {
+        try {
+          if (via_forward)
+            layer->forward(x);
+          else
+            layer->output_shape(x.shape());
+          ADD_FAILURE() << layer->name() << " k=" << kernel
+                        << " accepted a 3x3 input";
+        } catch (const std::runtime_error& e) {
+          EXPECT_NE(std::string(e.what()).find(layer->name()),
+                    std::string::npos)
+              << e.what();
+          EXPECT_NE(std::string(e.what()).find("kernel"), std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
+  // Padding that makes the window fit yields a 1x1 output.
+  ProposedQuadConv2d fits(2, 1, 5, 1, 1, 2, rng);
+  EXPECT_EQ(fits.forward(x).shape(), Shape({1, 3, 1, 1}));
+}
 
 // A conv layer with a 1×1 kernel on a 1×1 image is exactly a dense layer:
 // every conv family must agree with its dense counterpart there.
