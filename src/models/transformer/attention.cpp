@@ -1,5 +1,6 @@
 #include "models/transformer/attention.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -427,6 +428,16 @@ void MultiHeadAttention::cross_attend_step(
                    << " kv_lengths for batch " << n);
   QDNN_CHECK(out.rank() == 2 && out.dim(0) == n && out.dim(1) == d_model_,
              name_ << ": bad step output view " << out.shape());
+  // Span only the keys some stepped row attends.  Every dropped key is
+  // masked for every row (-1e30 → an exact 0.0f weight that adds nothing
+  // to the sequential softmax sum and is skipped by the context loop), so
+  // the narrower span changes no bit.
+  if (!kv_lengths.empty()) {
+    index_t span = 1;
+    for (index_t s = 0; s < n; ++s)
+      span = std::max(span, kv_lengths[static_cast<std::size_t>(s)]);
+    tk = std::min(tk, span);
+  }
   const PagedKvAddr k_addr = make_paged_addr(k_cache, tk, proj_dim_,
                                              "cross");
   const PagedKvAddr v_addr = make_paged_addr(v_cache, tk, proj_dim_,

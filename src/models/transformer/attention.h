@@ -135,7 +135,8 @@ class MultiHeadAttention : public nn::Module {
   // source capacity (max_src); kv_lengths masks padded source positions
   // per sample (empty = all tk valid; may hold more than N entries when
   // the session keeps full-width per-row state), exactly as the training
-  // forward.
+  // forward.  Scores span only the longest of the N rows' lengths (at
+  // least 1), since keys past it are masked for every row.
   void cross_attend_step(const ConstTensorView& x, const TensorView& out,
                          const PagedKvView& k_cache,
                          const PagedKvView& v_cache, index_t tk,

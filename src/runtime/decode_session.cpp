@@ -139,7 +139,8 @@ DecodeSession::DecodeSession(models::Transformer& model,
   row_steps_.assign(static_cast<std::size_t>(config_.max_batch), 0);
   src_lengths_.assign(static_cast<std::size_t>(config_.max_batch), 0);
   // Every row starts parked (pinned at ring position 0) until its first
-  // prime: unprimed rows ride the batch gemm without ever advancing.
+  // prime: an unprimed row is never advanced, and never stepped unless a
+  // live row sits above it.
   parked_.assign(static_cast<std::size_t>(config_.max_batch), 1);
   in_views_.resize(stages_.size());
   add_views_.resize(stages_.size());
@@ -152,7 +153,8 @@ DecodeSession::DecodeSession(models::Transformer& model,
   // adapters pointing into this half-constructed (about-to-unwind)
   // session: unbind before rethrowing (the destructor will not run).
   try {
-    bind_views(config_.max_batch);
+    bind_adapters();
+    bound_n_ = config_.max_batch;
 
     if (config_.warmup) {
       // Run one step at the deepest ring position (the widest score
@@ -215,13 +217,10 @@ bool DecodeSession::row_parked(index_t row) const {
   return parked_[static_cast<std::size_t>(row)] != 0;
 }
 
-void DecodeSession::bind_views(index_t n) {
-  // Rebuild the per-stage views and the adapter cache bindings for this
-  // batch width.  The paged views carry the FULL max_batch-width tables
-  // (a row's table slice never moves), so rebinding only resizes the
-  // activation boundaries.  Shapes are inline and the views are POD, so
-  // this never touches the heap; it runs at construction and when
-  // prime() changes the batch width.
+void DecodeSession::bind_adapters() {
+  // Point every attention step adapter at the paged KV views and the
+  // per-row counters.  The views carry the FULL max_batch-width tables
+  // (a row's table slice never moves), so this runs once, at bind.
   const index_t pf = pool_.page_floats();
   const index_t slice = page_tokens_ * proj_dim_;
   for (index_t l = 0; l < model_->num_decoder_layers(); ++l) {
@@ -241,7 +240,12 @@ void DecodeSession::bind_views(index_t n) {
                             cross_ppr_, page_tokens_, v_off},
         max_src_, &src_lengths_);
   }
+}
 
+void DecodeSession::slice_views(index_t m) {
+  // Re-slice every stage boundary to rows [0, m).  Shapes are inline and
+  // the views are POD, so this never touches the heap; run_step calls it
+  // whenever the stepped width changes.
   auto boundary_data = [&](index_t b) -> float* {
     return b < 0 ? embed_buf_.data()
                  : buffers_[static_cast<std::size_t>(b)].data();
@@ -251,18 +255,18 @@ void DecodeSession::bind_views(index_t n) {
   };
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const nn::PipelineStage& st = stages_[i];
-    in_views_[i] = ConstTensorView(Shape{n, boundary_width(st.input)},
+    in_views_[i] = ConstTensorView(Shape{m, boundary_width(st.input)},
                                    boundary_data(st.input));
     add_views_[i] =
-        st.is_add() ? ConstTensorView(Shape{n, boundary_width(st.addend)},
+        st.is_add() ? ConstTensorView(Shape{m, boundary_width(st.addend)},
                                       boundary_data(st.addend))
                     : ConstTensorView{};
     out_views_[i] = TensorView(
-        Shape{n, stage_width_[i]}, boundary_data(static_cast<index_t>(i)));
+        Shape{m, stage_width_[i]}, boundary_data(static_cast<index_t>(i)));
   }
   logits_view_ =
-      ConstTensorView(Shape{n, vocab_}, buffers_.back().data());
-  bound_n_ = n;
+      ConstTensorView(Shape{m, vocab_}, buffers_.back().data());
+  sliced_n_ = m;
 }
 
 index_t DecodeSession::acquire_page_() {
@@ -290,6 +294,52 @@ void DecodeSession::release_row_pages_(index_t row) {
       crow[p] = KvPagePool::kSentinelPage;
     }
   }
+}
+
+void DecodeSession::check_invariants(
+    const std::vector<index_t>& staged) const {
+  const index_t pages = pool_.pages();
+  std::vector<index_t> holders(static_cast<std::size_t>(pages + 1), 0);
+  const auto hold = [&](index_t page) {
+    QDNN_CHECK(page >= 1 && page <= pages,
+               "DecodeSession: held page " << page << " outside [1, "
+                                           << pages << "]");
+    ++holders[static_cast<std::size_t>(page)];
+  };
+  const auto hold_row = [&](const std::vector<index_t>& table,
+                            index_t per_row, index_t row) {
+    for (index_t p = 0; p < per_row; ++p) {
+      const index_t page =
+          table[static_cast<std::size_t>(row * per_row + p)];
+      if (page == KvPagePool::kSentinelPage) continue;
+      QDNN_CHECK(!parked_[static_cast<std::size_t>(row)],
+                 "DecodeSession: parked row " << row << " maps page "
+                                              << page);
+      hold(page);
+    }
+  };
+  for (index_t r = 0; r < config_.max_batch; ++r) {
+    hold_row(self_table_, self_ppr_, r);
+    hold_row(cross_table_, cross_ppr_, r);
+  }
+  std::vector<index_t> cached;
+  prefix_cache_.pinned_pages(cached);
+  for (index_t page : cached) hold(page);
+  for (index_t page : staged) hold(page);
+  index_t free = 0;
+  for (index_t p = 1; p <= pages; ++p) {
+    const index_t rc = pool_.refcount(p);
+    QDNN_CHECK(rc == holders[static_cast<std::size_t>(p)],
+               "DecodeSession: page " << p << " has refcount " << rc
+                                      << " but "
+                                      << holders[static_cast<std::size_t>(p)]
+                                      << " holders");
+    if (rc == 0) ++free;
+  }
+  QDNN_CHECK(free == pool_.free_pages(),
+             "DecodeSession: " << pool_.free_pages()
+                               << " free pages reported, " << free
+                               << " at refcount 0");
 }
 
 bool DecodeSession::ensure_row_step_capacity(index_t row) {
@@ -336,7 +386,7 @@ void DecodeSession::prime(const Tensor& src_ids,
   // paths stay bit-identical (and bit-identical to the training-path
   // encoder, hence to greedy_decode_reference).
   init_staging(solo_staging_);
-  if (n != bound_n_) bind_views(n);
+  bound_n_ = n;
   for (index_t r = 0; r < n; ++r) {
     const auto ri = static_cast<std::size_t>(r);
     const index_t len =
@@ -467,10 +517,9 @@ void DecodeSession::commit_row(index_t row, PrefillStaging& staging) {
                  staging.v.numel() == staging.k.numel(),
              "DecodeSession: staging sized for a different session");
 
-  // Continuous mode runs at the full max_batch width so every row slot
-  // is addressable; rows never primed just ride the batch masked-out.
-  // bind_views is heap-free (inline shapes), so the whole commit is too.
-  if (bound_n_ != config_.max_batch) bind_views(config_.max_batch);
+  // Continuous mode binds the full max_batch width so every row slot is
+  // addressable; run_step steps only up to the highest live row.
+  bound_n_ = config_.max_batch;
   commit_row_impl(row, staging);
 }
 
@@ -588,14 +637,36 @@ void DecodeSession::reset_row(index_t row) {
              "DecodeSession: row " << row << " outside [0, "
                                    << config_.max_batch << ")");
   // Hand every page back (the prefix cache's own pins keep shared cross
-  // pages alive) and pin the row at ring 0 over the sentinel page.
+  // pages alive) and pin the row at ring 0 over the sentinel page.  A
+  // zero source length keeps a parked row that is still stepped (one
+  // below the highest live row) from widening the cross-attention span.
   release_row_pages_(row);
   row_steps_[static_cast<std::size_t>(row)] = 0;
+  src_lengths_[static_cast<std::size_t>(row)] = 0;
   parked_[static_cast<std::size_t>(row)] = 1;
 }
 
+index_t DecodeSession::stepped_rows() const {
+  // The warm-up steps every row (all parked) to find the watermark.
+  if (warming_) return bound_n_;
+  index_t hi = bound_n_;
+  while (hi > 0 && parked_[static_cast<std::size_t>(hi - 1)]) --hi;
+  return hi;
+}
+
 void DecodeSession::run_step(const std::vector<index_t>& tokens) {
-  const index_t n = bound_n_;
+  // Step rows [0, hi) only, hi = 1 + the highest live row: rows above it
+  // are parked, so they are neither computed nor advanced and return
+  // their input token.  Every backend computes each output element by
+  // the same chain whatever the row count, and attention is per row, so
+  // the live rows' bits do not depend on hi.
+  const index_t n = stepped_rows();
+  if (n != sliced_n_) slice_views(n);
+  next_tokens_.resize(static_cast<std::size_t>(bound_n_));
+  for (index_t r = n; r < bound_n_; ++r)
+    next_tokens_[static_cast<std::size_t>(r)] =
+        tokens[static_cast<std::size_t>(r)];
+  if (n == 0) return;
   // Map a self-KV page for every live row entering a new page-aligned
   // block.  Solo/default pools can never trip this (pool_pages covers
   // every row fully deep); an oversubscribing scheduler must call
@@ -664,7 +735,6 @@ void DecodeSession::run_step(const std::vector<index_t>& tokens) {
   }
 
   // Greedy head: first-maximum argmax, matching greedy_decode_reference.
-  next_tokens_.resize(static_cast<std::size_t>(n));
   const float* logits = buffers_.back().data();
   for (index_t r = 0; r < n; ++r) {
     const float* row = logits + r * vocab_;
@@ -674,9 +744,9 @@ void DecodeSession::run_step(const std::vector<index_t>& tokens) {
     next_tokens_[static_cast<std::size_t>(r)] = best;
   }
   if (profiling) mark(stages_.size() + 1);
-  // Parked rows stay pinned at ring position 0: they rode the gemm (their
-  // output is ignored) but never advance, so an idle row's ring cannot
-  // exhaust no matter how many ticks pass.
+  // Parked rows below hi stay pinned at ring position 0: they were
+  // stepped (output ignored) but never advance, so an idle row's ring
+  // cannot exhaust no matter how many ticks pass.
   for (index_t r = 0; r < n; ++r)
     if (!parked_[static_cast<std::size_t>(r)])
       ++row_steps_[static_cast<std::size_t>(r)];

@@ -256,18 +256,22 @@ class DecodeSession {
   // live row before each step.  Serving-thread only; zero-alloc.
   bool ensure_row_step_capacity(index_t row);
 
-  // Parks row `row`: rewinds its step counter to ring position 0 and pins
-  // it there — a parked row keeps riding the batch gemm (output ignored)
-  // with its counter never advancing, so its ring can never exhaust and
-  // no per-tick re-reset is needed.  The continuous-batching retire
-  // operation; prime/prime_row/commit_row unpark.  Zero-alloc.
+  // Parks row `row`: releases its pages, zeroes its source length and
+  // pins its step counter at ring position 0.  step() skips parked rows
+  // above the highest live row; a parked row below it is stepped with
+  // its output ignored and its counter never advancing, so its ring can
+  // never exhaust and no per-tick re-reset is needed.  The
+  // continuous-batching retire operation; prime/prime_row/commit_row
+  // unpark.  Zero-alloc.
   void reset_row(index_t row);
 
   // One decoder step: embeds `tokens` ([n] ids — bos on the first step,
   // the previous emission after) at position step(), runs every decoder
-  // stage and the output projection, and returns the per-row argmax.
-  // Steady state: zero heap allocations.  The returned reference is
-  // valid until the next step()/prime().
+  // stage and the output projection over rows [0, hi), hi = 1 + the
+  // highest non-parked row, and returns the per-row argmax.  Takes and
+  // returns n = batch() entries; rows at or above hi are not stepped and
+  // return their input token.  Steady state: zero heap allocations.  The
+  // returned reference is valid until the next step()/prime().
   const std::vector<index_t>& step(const std::vector<index_t>& tokens);
 
   // Greedy loop: seeds bos, steps until every row emitted eos or
@@ -276,7 +280,8 @@ class DecodeSession {
   // output.  Allocates only the returned vectors.
   std::vector<std::vector<index_t>> generate(index_t bos, index_t eos);
 
-  // Logits [n, tgt_vocab] of the last step; aliases an internal buffer.
+  // Logits [hi, tgt_vocab] of the rows the last step ran (see step());
+  // aliases an internal buffer.
   const ConstTensorView& logits() const { return logits_view_; }
 
   index_t max_batch() const { return config_.max_batch; }
@@ -292,7 +297,8 @@ class DecodeSession {
   // Steps taken by one row since its last prime/prime_row/reset_row.
   index_t row_steps(index_t row) const;
   // True while row `row` is parked (reset_row since its last prime):
-  // its ring position is pinned at 0 across ticks.
+  // its ring position is pinned at 0 across ticks and it maps only the
+  // sentinel page.
   bool row_parked(index_t row) const;
   bool frozen() const { return config_.freeze; }
   // True when every module stage has a native (allocation-free)
@@ -323,6 +329,13 @@ class DecodeSession {
   }
   const KvPagePool& pool() const { return pool_; }
   const PrefixCache& prefix_cache() const { return prefix_cache_; }
+  // Page accounting check, throwing on the first violation: parked rows
+  // map only the sentinel page, every page's refcount equals its holders
+  // (row tables, prefix-cache entries, plus `staged` — page ids held by
+  // staging slots outside the session, one entry per reference), and
+  // free_pages() equals the pages at refcount 0.  Allocates; call it
+  // between steps, never from them.
+  void check_invariants(const std::vector<index_t>& staged) const;
 
   // Per-stage wall-time accumulated by run_step while tracing is enabled
   // (obs::trace_enabled()): one entry per pipeline stage, bracketed by an
@@ -334,7 +347,14 @@ class DecodeSession {
   std::vector<obs::StageTiming> stage_profile() const;
 
  private:
-  void bind_views(index_t n);
+  // Points the attention step adapters at the paged KV views and the
+  // per-row counters (once, at bind).
+  void bind_adapters();
+  // Re-slices every stage boundary view (and logits()) to rows [0, m).
+  void slice_views(index_t m);
+  // Rows the next step runs: 1 + the highest non-parked bound row (all
+  // bound rows while warming).
+  index_t stepped_rows() const;
   void unbind_all();
   // Runs the masked native encoder over one source ([ts] ids at `ids`,
   // `len` valid positions) inside `staging.ws` — resetting the slot's
@@ -397,7 +417,8 @@ class DecodeSession {
   std::vector<index_t> row_steps_;
   std::vector<index_t> src_lengths_;
   // Parked rows (reset_row since last prime): counter pinned at ring 0,
-  // run_step never advances them.  All rows start parked.
+  // run_step never advances them and skips them above the highest live
+  // row.  All rows start parked.
   std::vector<char> parked_;
 
   // Stage profiling accumulators (stage_profile()): slot 0 is the embed
@@ -418,6 +439,7 @@ class DecodeSession {
   // the slots), so a scheduler's session never allocates it.
   PrefillStaging solo_staging_;
   index_t bound_n_ = 0;
+  index_t sliced_n_ = -1;  // rows the boundary views span (slice_views)
   bool primed_ = false;
 };
 

@@ -225,4 +225,10 @@ index_t PrefixCache::live_entries() const {
   return n;
 }
 
+void PrefixCache::pinned_pages(std::vector<index_t>& out) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const Entry& e : entries_)
+    if (e.valid) out.insert(out.end(), e.pages.begin(), e.pages.end());
+}
+
 }  // namespace qdnn::runtime

@@ -150,6 +150,9 @@ class PrefixCache {
   // back to the pool right now.  Takes both locks (cache → pool order).
   index_t reclaimable_pages(const KvPagePool& pool) const;
   index_t live_entries() const;
+  // Appends the pages every valid entry pins, one id per reference held
+  // (invariant checks; allocates).
+  void pinned_pages(std::vector<index_t>& out) const;
 
   long long hits() const { return hits_.load(std::memory_order_relaxed); }
   long long misses() const {

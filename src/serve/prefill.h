@@ -185,6 +185,31 @@ class PrefillPool {
   // workers need.
   void wait_ready() const;
 
+  // Invariant-check support (BatchScheduler::check_invariants): blocks
+  // until no worker is mid-prefill, then calls check(ids, staged) while
+  // holding the pool lock, so no worker starts a prefill (or takes a
+  // prefix-page reference) until it returns.  `ids` lists every job
+  // inside the pool; `staged` the prefix pages its finished slots hold,
+  // one entry per reference.  `check` must not call back into the pool.
+  // Allocates; never call it on the tick path.
+  template <class F>
+  void inspect_quiescent(F&& check) const {
+    std::unique_lock<std::mutex> lk(mu_);
+    done_cv_.wait(lk, [&] {
+      return pending_ ==
+             static_cast<index_t>(queue_.size() + finished_.size());
+    });
+    std::vector<index_t> ids, staged;
+    for (const PrefillJob& job : queue_) ids.push_back(job.id);
+    for (const Finished& f : finished_) {
+      ids.push_back(f.job.id);
+      const std::vector<index_t>& pages =
+          staging_[static_cast<std::size_t>(f.slot)].page_ids;
+      staged.insert(staged.end(), pages.begin(), pages.end());
+    }
+    check(ids, staged);
+  }
+
   // Staged K/V of a slot returned by try_take (valid until release).
   const runtime::PrefillStaging& staging(index_t slot) const;
   // Mutable face of the same slot, for DecodeSession::commit_row /

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <unordered_map>
 
 namespace qdnn::serve {
 
@@ -63,12 +64,9 @@ BatchScheduler::BatchScheduler(models::Transformer& model,
 
   const index_t rows = session_.max_batch();
   slots_.resize(static_cast<std::size_t>(rows));
-  feed_.assign(static_cast<std::size_t>(rows), config_.bos);
-  // Stack of free rows, highest first, so back() hands out row 0 first.
   // Rows start parked at ring position 0 (the session parks every row at
   // bind), so free rows need no per-tick maintenance.
-  free_rows_.reserve(static_cast<std::size_t>(rows));
-  for (index_t r = rows - 1; r >= 0; --r) free_rows_.push_back(r);
+  feed_.assign(static_cast<std::size_t>(rows), config_.bos);
   completed_.reserve(static_cast<std::size_t>(rows));
   prob_scratch_ = Tensor{Shape{vocab_}};
   idx_scratch_.resize(static_cast<std::size_t>(vocab_));
@@ -505,7 +503,9 @@ void BatchScheduler::admit() {
   // it counts in queued() and blocks idle(), and commits as soon as
   // retirements or preemptions free pages.  A drained batch always
   // fits: the session validates pool_pages covers one worst-case row.
-  while (!free_rows_.empty()) {
+  // Each admission takes the LOWEST free row, keeping live rows packed
+  // at the bottom: a step runs only up to the highest live row.
+  while (live_rows_ < static_cast<index_t>(slots_.size())) {
     if (has_held_) {
       fin = std::move(held_fin_);
       has_held_ = false;
@@ -524,8 +524,8 @@ void BatchScheduler::admit() {
       has_held_ = true;
       break;
     }
-    const index_t row = free_rows_.back();
-    free_rows_.pop_back();
+    index_t row = 0;
+    while (slots_[static_cast<std::size_t>(row)].live) ++row;
     if (st.from_cache && fin.job.sampled)
       trace_.record_always(fin.job.id, obs::TraceEvent::kPrefixHit, row);
     session_.commit_row(row, prefill_->staging_mut(fin.slot));
@@ -610,12 +610,12 @@ void BatchScheduler::retire(index_t row, FinishReason reason,
   // Drop the retired request's source tensor now (deallocation only —
   // the steady-state contract counts allocations, not frees).
   slot.request = Request();
-  // Park exactly once: the freed row rides the batch gemm pinned at ring
-  // position 0 (output ignored) until its next admission — no per-tick
-  // reset needed, and its ring can never exhaust.
+  // Park exactly once: the freed row stays pinned at ring position 0
+  // until its next admission — skipped by the step when no live row sits
+  // above it, stepped with its output ignored otherwise — so no per-tick
+  // reset is needed and its ring can never exhaust.
   session_.reset_row(row);
   feed_[static_cast<std::size_t>(row)] = config_.bos;
-  free_rows_.push_back(row);
   --live_rows_;
   live_rows_gauge_->set(static_cast<double>(live_rows_));
 }
@@ -676,7 +676,6 @@ void BatchScheduler::preempt(index_t row) {
   slot.on_token = nullptr;
   session_.reset_row(row);  // releases every page the row mapped
   feed_[static_cast<std::size_t>(row)] = config_.bos;
-  free_rows_.push_back(row);
   --live_rows_;
   live_rows_gauge_->set(static_cast<double>(live_rows_));
   queue_.push_front(std::move(job));
@@ -849,6 +848,64 @@ std::vector<RequestResult> BatchScheduler::take_results() {
   // results off, the tick contract is on the slot cycle).
   completed_.reserve(slots_.size());
   return out;
+}
+
+void BatchScheduler::check_invariants() const {
+  // Where each in-flight id was found.
+  const char* const kHeld = "held prefill";
+  const char* const kPool = "prefill pool";
+  std::unordered_map<index_t, const char*> placed;
+  const auto place = [&](index_t id, const char* where) {
+    QDNN_CHECK(inflight_ids_.count(id) != 0,
+               "BatchScheduler: id " << id << " in the " << where
+                                     << " is not in flight");
+    QDNN_CHECK(placed.emplace(id, where).second,
+               "BatchScheduler: id " << id << " found in the "
+                                     << placed[id] << " and the " << where);
+  };
+  index_t live = 0;
+  for (index_t row = 0; row < static_cast<index_t>(slots_.size());
+       ++row) {
+    const Slot& slot = slots_[static_cast<std::size_t>(row)];
+    QDNN_CHECK(slot.live != session_.row_parked(row),
+               "BatchScheduler: row " << row << " is "
+                                      << (slot.live ? "live" : "free")
+                                      << " but the session has it "
+                                      << (slot.live ? "parked" : "unparked"));
+    if (!slot.live) continue;
+    ++live;
+    place(slot.id, "batch");
+  }
+  QDNN_CHECK(live == live_rows_, "BatchScheduler: " << live
+                                                     << " live slots, "
+                                                     << live_rows_
+                                                     << " counted");
+  for (const PrefillJob& job : queue_) place(job.id, "queue");
+  std::vector<index_t> staged;
+  if (has_held_) {
+    place(held_fin_.job.id, kHeld);
+    const std::vector<index_t>& pages =
+        prefill_->staging(held_fin_.slot).page_ids;
+    staged.assign(pages.begin(), pages.end());
+  }
+  prefill_->inspect_quiescent([&](const std::vector<index_t>& ids,
+                                  const std::vector<index_t>& pool_staged) {
+    for (index_t id : ids) place(id, kPool);
+    staged.insert(staged.end(), pool_staged.begin(), pool_staged.end());
+    // Under the pool lock: no worker can take a prefix reference now.
+    session_.check_invariants(staged);
+  });
+  QDNN_CHECK(placed.size() == inflight_ids_.size(),
+             "BatchScheduler: " << inflight_ids_.size()
+                                << " ids in flight, " << placed.size()
+                                << " found");
+  for (index_t id : pool_cancelled_) {
+    const auto it = placed.find(id);
+    QDNN_CHECK(it != placed.end() &&
+                   (it->second == kPool || it->second == kHeld),
+               "BatchScheduler: cancelled id "
+                   << id << " is not waiting in the pool or held");
+  }
 }
 
 double BatchScheduler::mean_occupancy() const {

@@ -12,9 +12,10 @@
 //      (per-row prime: the request's source is encoded and
 //      cross-projected into just its row's caches while the other rows
 //      keep decoding mid-flight),
-//   3. steps the WHOLE batch once — one gemm-backed pass over all rows,
-//      every live row at its own ring position (per-row cache lengths in
-//      the attention step kernels),
+//   3. steps the batch once — one gemm-backed pass over rows up to the
+//      highest live row (admission fills the lowest free row, so live
+//      rows stay packed at the bottom), every live row at its own ring
+//      position (per-row cache lengths in the attention step kernels),
 //   4. samples one token per live row through its request's head
 //      (greedy / temperature / top-k, per-request seeded Rng), streaming
 //      it to the request's on_token callback the moment it exists,
@@ -309,6 +310,18 @@ class BatchScheduler {
   const obs::MetricsRegistry& metrics() const { return *registry_; }
   // The per-scheduler trace ring (empty unless obs::trace_enabled()).
   const obs::TraceRing& trace() const { return trace_; }
+  // Consistency check between ticks, throwing on the first violation:
+  //   * a slot is live exactly when its session row is not parked;
+  //   * the session's page accounting holds (DecodeSession::
+  //     check_invariants), counting the prefix pages staged by the held
+  //     prefill and by finished pool slots;
+  //   * every in-flight id is in exactly one of the queue, the pool, the
+  //     held prefill or a live slot, and every id cancelled inside the
+  //     pipeline is still in the pool or held.
+  // With prefill workers it waits until none is mid-prefill.  Allocates;
+  // for tests and debugging — step() never calls it.
+  void check_invariants() const;
+
   const runtime::DecodeSession& session() const { return session_; }
   // The admission pool (workers() == config.prefill_workers; never null).
   const PrefillPool* prefill_pool() const { return prefill_.get(); }
@@ -400,7 +413,6 @@ class BatchScheduler {
   std::deque<PrefillJob> queue_;
   std::vector<Slot> slots_;
   std::vector<index_t> feed_;       // next input token per row
-  std::vector<index_t> free_rows_;  // stack; lowest row admitted first
   std::vector<RequestResult> completed_;  // reserved for max_batch results
   Tensor prob_scratch_;                // [vocab], sampling CDF scratch
   std::vector<index_t> idx_scratch_;  // [vocab], top-k selection scratch

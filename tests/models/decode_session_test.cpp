@@ -456,14 +456,16 @@ TEST(DecodeSession, StagePlanAndFootprintIntrospection) {
 TEST(DecodeSession, PrimeRowAdmitsMidFlightBitIdentically) {
   // The continuous-batching primitive, exercised at session level: row 0
   // decodes alone for a few steps, then row 1 is primed mid-flight at a
-  // different ring position.  Both rows' greedy streams must match solo
-  // references exactly — per-row step counters, per-row source lengths
-  // and the masked attention tails at work.
+  // different ring position, parked again, and re-primed.  Every greedy
+  // stream must match its solo reference exactly — per-row step
+  // counters, per-row source lengths and the masked attention tails at
+  // work — while the stepped width follows the highest live row: a step
+  // runs rows [0, 1) while row 1 is parked and [0, 2) while it is live.
   Transformer model(tiny_config());
   model.set_training(false);
   const Tensor src_a = random_src(1, 5, 20, 41);
   const Tensor src_b = random_src(1, 3, 20, 42);
-  const index_t steps_a = 9, steps_b = 5, stagger = 4;
+  const index_t steps_a = 9, steps_b = 5;
   const auto ref_a =
       model.greedy_decode_reference(src_a, {}, 1, 2, steps_a)[0];
   const auto ref_b =
@@ -473,29 +475,38 @@ TEST(DecodeSession, PrimeRowAdmitsMidFlightBitIdentically) {
   ASSERT_EQ(static_cast<index_t>(ref_a.size()), steps_a);
   ASSERT_EQ(static_cast<index_t>(ref_b.size()), steps_b);
 
+  // Row 1: parked for steps [0, 3), live for [3, 6), parked at 6, then
+  // re-primed with the same source for [7, 9).
+  const index_t first_admit = 3, park = 6, second_admit = 7;
   DecodeSession session(model, session_config(2, 10));
   session.prime_row(0, src_a, 0);
   std::vector<index_t> feed{1, 1};  // bos; row 1 parked on bos
-  std::vector<index_t> got_a, got_b;
+  std::vector<index_t> got_a, got_b, got_b2;
   for (index_t s = 0; s < steps_a; ++s) {
-    if (s < stagger) {
-      session.reset_row(1);  // park: ring position pinned at 0
-    } else if (s == stagger) {
+    if (s == first_admit || s == second_admit) {
       session.prime_row(1, src_b, 0);  // admit mid-flight
       feed[1] = 1;                     // bos for the new request
+    } else if (s == park) {
+      session.reset_row(1);
     }
+    const bool b_live =
+        (s >= first_admit && s < park) || s >= second_admit;
     const std::vector<index_t>& next = session.step(feed);
+    ASSERT_EQ(next.size(), 2u) << "step must return every bound row";
+    EXPECT_EQ(session.logits().dim(0), b_live ? 2 : 1) << "step " << s;
     got_a.push_back(next[0]);
     feed[0] = next[0];
-    if (s >= stagger &&
-        static_cast<index_t>(got_b.size()) < steps_b) {
-      got_b.push_back(next[1]);
+    if (b_live) {
+      (s < park ? got_b : got_b2).push_back(next[1]);
       feed[1] = next[1];
+    } else {
+      EXPECT_EQ(next[1], feed[1]) << "an unstepped row returns its input";
     }
     EXPECT_EQ(session.row_steps(0), s + 1);
   }
   EXPECT_EQ(got_a, ref_a);
-  EXPECT_EQ(got_b, ref_b);
+  EXPECT_EQ(got_b, std::vector<index_t>(ref_b.begin(), ref_b.begin() + 3));
+  EXPECT_EQ(got_b2, std::vector<index_t>(ref_b.begin(), ref_b.begin() + 2));
 }
 
 TEST(DecodeSession, PrimeComputeCommitRowMatchesPrimeRowBitExactly) {
@@ -544,9 +555,11 @@ TEST(DecodeSession, PrimeComputeCommitRowMatchesPrimeRowBitExactly) {
 }
 
 TEST(DecodeSession, ParkedRowsStayAtRingZeroWithoutPerTickResets) {
-  // reset_row parks: the freed row rides every subsequent batch step with
-  // its ring position pinned at 0 — no per-tick re-reset, and the ring
-  // can never exhaust no matter how many ticks pass.
+  // reset_row parks once: a parked row above the highest live row is not
+  // stepped at all (it returns its input token), a parked row below it is
+  // stepped with its output ignored — and either way its ring position
+  // stays pinned at 0, so the ring can never exhaust no matter how many
+  // ticks pass, with no per-tick re-reset.
   Transformer model(tiny_config());
   model.set_training(false);
   DecodeSession session(model, session_config(2, 4));  // tiny ring
@@ -557,25 +570,40 @@ TEST(DecodeSession, ParkedRowsStayAtRingZeroWithoutPerTickResets) {
   session.prime_row(0, random_src(1, 4, 20, 62), 0);
   EXPECT_FALSE(session.row_parked(0));
   std::vector<index_t> feed{1, 1};
-  // More ticks than the ring holds: row 1 (parked) must stay at 0 and
-  // never trip the ring-exhaustion check; row 0 decodes normally.
+  // Row 1 (parked, above the live row) is not stepped.
   for (index_t s = 0; s < 3; ++s) {
     feed = session.step(feed);
+    ASSERT_EQ(feed.size(), 2u);
+    EXPECT_EQ(feed[1], 1) << "an unstepped row returns its input";
+    EXPECT_EQ(session.logits().dim(0), 1);
     EXPECT_EQ(session.row_steps(0), s + 1);
     EXPECT_EQ(session.row_steps(1), 0) << "parked row advanced";
     EXPECT_TRUE(session.row_parked(1));
   }
-  // Retire row 0 (park once) and keep ticking past the ring capacity:
-  // both rows now pinned at 0, so step() would throw for a non-parked
-  // row after 4 steps — it must not.
+
+  // With every row parked a step runs no rows at all.  Then a low row
+  // free while a higher one is live: row 0 is parked inside the stepped
+  // span [0, 2) and stays pinned at 0 for as many steps as the ring
+  // holds, while row 1 decodes its own solo stream.
+  const Tensor src = random_src(1, 4, 20, 63);
+  const auto ref = model.greedy_decode_reference(src, {}, 1, 2, 4)[0];
+  ASSERT_EQ(ref.size(), 4u);  // untrained tiny model: no early eos
   session.reset_row(0);
   EXPECT_TRUE(session.row_parked(0));
   feed.assign(2, 1);
   for (index_t s = 0; s < 6; ++s) {
-    session.step(feed);
-    EXPECT_EQ(session.row_steps(0), 0);
-    EXPECT_EQ(session.row_steps(1), 0);
+    if (s == 2) session.prime_row(1, src, 0);
+    feed = session.step(feed);
+    EXPECT_EQ(session.logits().dim(0), s < 2 ? 0 : 2);
+    EXPECT_EQ(session.row_steps(0), 0) << "parked row advanced";
+    if (s < 2) {
+      EXPECT_EQ(feed, std::vector<index_t>({1, 1}));
+    } else {
+      EXPECT_EQ(feed[1], ref[static_cast<std::size_t>(s - 2)]);
+      feed[0] = 1;  // the parked row's output is ignored
+    }
   }
+  EXPECT_EQ(session.row_steps(1), 4);
 }
 
 TEST(DecodeSession, ResetRowRewindsOneRowOnly) {

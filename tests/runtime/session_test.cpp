@@ -707,8 +707,11 @@ TEST(BatchScheduler, AsyncRetireAdmitCycleZeroHeapAllocations) {
   // K/V copy plus slot bookkeeping over the request's own warm token
   // buffer) and a tick that RETIRES (hand the buffer off, park the row)
   // perform no heap allocation at all — the full retire→admit slot cycle
-  // included.  With 0 workers the admitting tick also runs both prefills
-  // inline, through the pool's warmed staging slot — still zero-alloc.
+  // included, and with it the stepped width shrinking when the top row
+  // retires and growing back when it is refilled (the boundary views are
+  // re-sliced, never reallocated).  With 0 workers the admitting tick
+  // also runs its prefills inline, through the pool's warmed staging
+  // slot — still zero-alloc.
   for (const index_t workers : {1, 0}) {
     models::Transformer model(qdnn::testing::tiny_transformer_config());
     model.set_training(false);
@@ -718,36 +721,54 @@ TEST(BatchScheduler, AsyncRetireAdmitCycleZeroHeapAllocations) {
     config.prefill_workers = workers;
     serve::BatchScheduler scheduler(model, config);
 
-    auto submit_wave = [&](std::uint64_t seed) {
-      for (index_t i = 0; i < 2; ++i) {
+    // Submits one request per budget, then waits for the pool so the
+    // measured ticks admit without computing (and no worker thread
+    // allocates inside a measured window).
+    auto submit_wave = [&](std::uint64_t seed,
+                           std::initializer_list<index_t> budgets) {
+      std::uint64_t i = 0;
+      for (const index_t budget : budgets) {
         serve::Request req;
-        req.src_ids = random_src_ids(1, 4, 20, seed + i);
-        req.max_new_tokens = 2;  // retires on length at the second tick
+        req.src_ids = random_src_ids(1, 4, 20, seed + i++);
+        req.max_new_tokens = budget;
         scheduler.submit(std::move(req));
       }
-      // Wait for the pool so the measured ticks admit without computing
-      // (and no worker thread allocates inside the measured window).
-      while (workers > 0 && scheduler.prefill_pool()->ready() < 2)
+      while (workers > 0 && scheduler.prefill_pool()->ready() <
+                                static_cast<index_t>(budgets.size()))
         std::this_thread::yield();
     };
 
     // Wave 1 occupies both rows and retires them — the slots have cycled
     // once before the measurement, covering the moved-from buffer states.
-    submit_wave(200);
+    submit_wave(200, {2, 2});
     scheduler.step();
     scheduler.step();
     ASSERT_EQ(scheduler.take_results().size(), 2u) << "workers " << workers;
 
     // Wave 2 is fully prefilled before the window opens (with workers).
-    submit_wave(210);
-    const long long before = g_live_allocs.load();
+    // Row 1 retires after one token, so the second tick steps row 0 only.
+    submit_wave(210, {3, 1});
+    long long allocs = g_live_allocs.load();
     scheduler.step();  // admits both rows: commit_row + warm-buffer swap
-    scheduler.step();  // decodes to budget and retires both: park + hand-off
+    scheduler.step();  // row 1 parked on top: the step shrinks to 1 row
+    allocs = g_live_allocs.load() - allocs;
+    EXPECT_EQ(scheduler.session().logits().dim(0), 1)
+        << "workers " << workers;
+    ASSERT_EQ(scheduler.live_rows(), 1) << "workers " << workers;
+    // Draining results and submitting allocate by contract: outside the
+    // measured windows.
+    EXPECT_EQ(scheduler.take_results().size(), 1u) << "workers " << workers;
+    submit_wave(220, {1});
+
+    const long long before = g_live_allocs.load();
+    scheduler.step();  // refills row 1: the step grows back to 2 rows
+    EXPECT_EQ(scheduler.session().logits().dim(0), 2)
+        << "workers " << workers;
     scheduler.step();  // idle tick over parked rows
-    const long long after = g_live_allocs.load();
-    EXPECT_EQ(after - before, 0)
+    allocs += g_live_allocs.load() - before;
+    EXPECT_EQ(allocs, 0)
         << "retire→admit cycle with " << workers << " prefill workers "
-        << "performed " << (after - before) << " heap allocations";
+        << "performed " << allocs << " heap allocations";
     EXPECT_EQ(scheduler.take_results().size(), 2u) << "workers " << workers;
     EXPECT_TRUE(scheduler.idle()) << "workers " << workers;
   }

@@ -457,6 +457,7 @@ TEST(Cancel, StormFuzzEveryIdResolvesExactlyOnce) {
       }
       if (scheduler.wait_for_prefill()) continue;
       scheduler.step();
+      scheduler.check_invariants();
       for (RequestResult& r : scheduler.take_results()) {
         EXPECT_EQ(results.count(r.id), 0u)
             << "id " << r.id << " resolved twice (fuzz " << fuzz_seed

@@ -262,6 +262,7 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
     while (!scheduler.idle()) {
       if (scheduler.wait_for_prefill()) continue;
       scheduler.step();
+      scheduler.check_invariants();
       for (RequestResult& r : scheduler.take_results()) {
         const bool inserted =
             results.emplace(r.id, std::move(r.tokens)).second;

@@ -90,6 +90,7 @@ std::map<index_t, RequestResult> drive(
       ++next;
     }
     scheduler.step();
+    scheduler.check_invariants();
     for (RequestResult& result : scheduler.take_results())
       results[id_to_index.at(result.id)] = std::move(result);
   }
@@ -287,43 +288,71 @@ TEST(BatchScheduler, EosOnFirstStepAndSingleTokenBudgets) {
 }
 
 TEST(BatchScheduler, FreedRowsParkOnceAndStayAtRingZero) {
-  // The redundant-parking fix: a freed (or never-admitted) row is parked
-  // exactly once and its ring position stays pinned at 0 across idle
-  // ticks — no per-tick reset_row calls behind the scenes.
+  // A freed (or never-admitted) row is parked exactly once and its ring
+  // position stays pinned at 0 across ticks — no per-tick reset_row
+  // calls behind the scenes — whether it sits above the highest live row
+  // (not stepped) or below it (stepped, output ignored).  Admission takes
+  // the LOWEST free row: with rows 0 and 1 freed in that order while row
+  // 2 is live, the next request lands in row 0, not in the row freed
+  // last.
   Transformer model(tiny_transformer_config());
   model.set_training(false);
-  BatchScheduler scheduler(model, scheduler_config(2, 10));
+  const index_t max_steps = 10;
+  BatchScheduler scheduler(model, scheduler_config(3, max_steps));
 
-  Request req;
-  req.src_ids = random_src_ids(1, 4, 20, 181);
-  req.max_new_tokens = 3;
-  scheduler.submit(std::move(req));
-  // Row 1 is never admitted: parked from bind, pinned at 0 while row 0
-  // decodes.
-  for (int i = 0; i < 3; ++i) {
-    scheduler.step();
-    EXPECT_TRUE(scheduler.session().row_parked(1));
-    EXPECT_EQ(scheduler.session().row_steps(1), 0);
+  const index_t budgets[] = {2, 4, max_steps, 2};
+  std::vector<Tensor> srcs;
+  std::vector<std::vector<index_t>> refs;
+  for (index_t i = 0; i < 4; ++i) {
+    srcs.push_back(random_src_ids(1, 4, 20, 181 + i));
+    refs.push_back(model.greedy_decode_reference(srcs.back(), {}, kBos,
+                                                 kEos, budgets[i])[0]);
+    // Untrained tiny model: no reference stops early on eos.
+    ASSERT_EQ(static_cast<index_t>(refs.back().size()), budgets[i]);
   }
-  // Row 0 retired on its budget: parked once.
-  EXPECT_EQ(scheduler.take_results().size(), 1u);
+  std::map<index_t, index_t> id_to_index;
+  const auto submit = [&](index_t i) {
+    Request req;
+    req.src_ids = srcs[static_cast<std::size_t>(i)];
+    req.max_new_tokens = budgets[i];
+    id_to_index[scheduler.submit(std::move(req))] = i;
+  };
+  std::map<index_t, std::vector<index_t>> got;
+  const auto tick = [&] {
+    scheduler.step();
+    scheduler.check_invariants();
+    for (RequestResult& r : scheduler.take_results()) {
+      EXPECT_EQ(r.reason, FinishReason::kLength);
+      got[id_to_index.at(r.id)] = std::move(r.tokens);
+    }
+    for (index_t row = 0; row < 3; ++row)
+      if (scheduler.session().row_parked(row))
+        EXPECT_EQ(scheduler.session().row_steps(row), 0)
+            << "parked row " << row << " advanced";
+  };
+
+  // Rows 0, 1, 2 take A, B, C.  Row 2 stays live throughout, so every
+  // tick steps all three rows.
+  for (index_t i = 0; i < 3; ++i) submit(i);
+  for (index_t t = 1; t <= 6; ++t) {
+    tick();
+    EXPECT_EQ(scheduler.session().logits().dim(0), 3) << "tick " << t;
+  }
+  // A retired at tick 2 and B at tick 4: rows 0 and 1 are free, parked
+  // below the live row 2.
   EXPECT_TRUE(scheduler.session().row_parked(0));
-  EXPECT_EQ(scheduler.session().row_steps(0), 0);
+  EXPECT_TRUE(scheduler.session().row_parked(1));
+  EXPECT_FALSE(scheduler.session().row_parked(2));
 
-  // A second request re-occupies row 0 for MORE live ticks than the ring
-  // holds: row 1 must ride every one of those batch steps pinned at ring
-  // position 0 without exhausting (the old per-tick reset masked this;
-  // park-once must not rely on it).
-  Request longer;
-  longer.src_ids = random_src_ids(1, 4, 20, 182);
-  longer.max_new_tokens = 10;  // == max_steps > remaining ring headroom
-  scheduler.submit(std::move(longer));
-  while (!scheduler.idle()) {
-    scheduler.step();
-    EXPECT_TRUE(scheduler.session().row_parked(1));
-    EXPECT_EQ(scheduler.session().row_steps(1), 0);
-  }
-  EXPECT_EQ(scheduler.take_results().size(), 1u);
+  submit(3);
+  tick();
+  EXPECT_FALSE(scheduler.session().row_parked(0))
+      << "admission must take the lowest free row";
+  EXPECT_TRUE(scheduler.session().row_parked(1));
+  while (!scheduler.idle()) tick();
+  ASSERT_EQ(got.size(), 4u);
+  for (index_t i = 0; i < 4; ++i)
+    EXPECT_EQ(got[i], refs[static_cast<std::size_t>(i)]) << "request " << i;
 }
 
 TEST(BatchScheduler, ResultsStreamOutWhileOthersKeepDecoding) {
