@@ -54,6 +54,7 @@ void gemm(bool trans_a, bool trans_b, index_t m, index_t n, index_t k,
   const float* bb = b;
   index_t bldb = ldb;
   if (trans_b) {
+    detail::note_weight_pack_call();
     float* pack = scratch;
     for (index_t j = 0; j < n; ++j)
       for (index_t p = 0; p < k; ++p) pack[p * n + j] = b[j * ldb + p];

@@ -91,6 +91,12 @@ class GemmSerialScope {
 // bump this — asserted by tests/runtime/session_test.cpp.
 long long gemm_heap_pack_calls();
 
+// gemm() calls (either overload) that transposed B per call.  In the
+// serving layers B is a constant weight that freeze() prepacks instead,
+// so frozen prefill and decode steps must never bump this — asserted by
+// tests/models/decode_session_test.cpp and tests/runtime/session_test.cpp.
+long long gemm_weight_pack_calls();
+
 // Calls that actually row-sharded across the pool.
 long long gemm_threaded_dispatches();
 

@@ -43,6 +43,8 @@ std::atomic<long long> g_min_work{2'000'000};
 // loop, and the per-call record stays one relaxed fetch_add.
 obs::Counter& g_heap_pack_calls =
     obs::MetricsRegistry::global().counter("gemm.heap_pack_calls");
+obs::Counter& g_weight_pack_calls =
+    obs::MetricsRegistry::global().counter("gemm.weight_pack_calls");
 obs::Counter& g_threaded_dispatches =
     obs::MetricsRegistry::global().counter("gemm.threaded_dispatches");
 thread_local int t_serial_depth = 0;
@@ -329,6 +331,8 @@ GemmSerialScope::~GemmSerialScope() { --t_serial_depth; }
 
 long long gemm_heap_pack_calls() { return g_heap_pack_calls.value(); }
 
+long long gemm_weight_pack_calls() { return g_weight_pack_calls.value(); }
+
 long long gemm_threaded_dispatches() {
   return g_threaded_dispatches.value();
 }
@@ -336,6 +340,7 @@ long long gemm_threaded_dispatches() {
 namespace detail {
 
 void note_heap_pack_call() { g_heap_pack_calls.inc(); }
+void note_weight_pack_call() { g_weight_pack_calls.inc(); }
 
 void run_gemm(GemmBackend backend, index_t m, index_t n, index_t k,
               float alpha, const float* a, index_t lda, const BDesc& b,

@@ -72,8 +72,9 @@ void run_gemm(GemmBackend backend, index_t m, index_t n, index_t k,
               float alpha, const float* a, index_t lda, const BDesc& b,
               float* c, index_t ldc);
 
-// gemm.cpp-internal counter hook for the allocating convenience
-// overload.
+// gemm.cpp-internal counter hooks: the allocating convenience overload,
+// and every per-call transpose of B.
 void note_heap_pack_call();
+void note_weight_pack_call();
 
 }  // namespace qdnn::linalg::detail

@@ -80,6 +80,8 @@ class EncoderLayer : public nn::Module {
   void set_training(bool training) override;
   std::string name() const override { return name_; }
 
+  MultiHeadAttention& self_attention() { return self_attn_; }
+
  private:
   std::string name_;
   index_t d_model_;

@@ -85,13 +85,10 @@ DecodeSession::DecodeSession(models::Transformer& model,
                                                  << " != tgt_vocab "
                                                  << vocab_);
 
-  // Bind step: prepack the decode-side weights and drop training caches
+  // Bind step: prepack the whole model's weights — the encoder serves
+  // every prefill, the decoder every step — and drop training caches
   // before warm-up, so the watermark never includes packing scratch.
-  if (config_.freeze) {
-    model_->tgt_embedding().freeze();
-    for (index_t l = 0; l < layers; ++l) model_->decoder_layer(l).freeze();
-    model_->output_projection().freeze();
-  }
+  if (config_.freeze) model_->freeze();
 
   // Paged KV memory: one pool of uniform pages backs both attention
   // kinds; per-row page tables start all-sentinel (parked/warming rows

@@ -7,9 +7,10 @@
 //     LayerNorm and FFN stages over [N, D] boundaries) plus the output
 //     projection; per-layer KV cache rings, boundary buffers, the logits
 //     buffer and the argmax scratch are preallocated for
-//     (max_batch, max_steps); unless config.freeze is off, the decode-side
-//     modules (target embedding, decoder layers, output projection) are
-//     frozen — constant GEMM operands prepacked, training caches dropped;
+//     (max_batch, max_steps); unless config.freeze is off, the whole
+//     model (both embeddings, the encoder that runs every prefill, the
+//     decoder layers and the output projection) is frozen — constant
+//     GEMM operands prepacked, training caches dropped;
 //     a warm-up step at the deepest ring position discovers the workspace
 //     watermark, which is then consolidated into one contiguous block.
 //   * prime(src): runs the masked native encoder
@@ -141,9 +142,10 @@ struct DecodeSessionConfig {
   // means the model's max_len; set it when sources are known to be short
   // to shrink the caches and bind-time work proportionally.
   index_t max_src = 0;
-  // Freeze the decode-side modules at bind time (prepack constant
-  // weights, drop training caches).  Off only for A/B measurement and
-  // non-invasive wrappers — results are bit-identical either way.
+  // Freeze the whole model at bind time — encoder and decoder (prepack
+  // constant weights, drop training caches).  Off only for A/B
+  // measurement and non-invasive wrappers — results are bit-identical
+  // either way.
   bool freeze = true;
   // Run one dummy step at the deepest ring position at construction so
   // the workspace watermark is discovered (and consolidated) before the

@@ -104,16 +104,21 @@ TEST_F(GemmBackendTest, BackendQueriesAreConsistent) {
   EXPECT_STREQ(gemm_backend_name(GemmBackend::kNeon), "neon");
   EXPECT_TRUE(gemm_backend_compiled(GemmBackend::kGeneric));
   EXPECT_TRUE(gemm_backend_supported(GemmBackend::kGeneric));
-  for (GemmBackend be : {GemmBackend::kAvx2, GemmBackend::kNeon})
-    if (gemm_backend_supported(be)) EXPECT_TRUE(gemm_backend_compiled(be));
+  for (GemmBackend be : {GemmBackend::kAvx2, GemmBackend::kNeon}) {
+    if (gemm_backend_supported(be)) {
+      EXPECT_TRUE(gemm_backend_compiled(be));
+    }
+  }
   // The resolved default must itself be supported.
   EXPECT_TRUE(gemm_backend_supported(active_gemm_backend()));
 }
 
 TEST_F(GemmBackendTest, SetUnsupportedBackendThrows) {
-  for (GemmBackend be : {GemmBackend::kAvx2, GemmBackend::kNeon})
-    if (!gemm_backend_supported(be))
+  for (GemmBackend be : {GemmBackend::kAvx2, GemmBackend::kNeon}) {
+    if (!gemm_backend_supported(be)) {
       EXPECT_THROW(set_gemm_backend(be), std::runtime_error);
+    }
+  }
 }
 
 TEST_F(GemmBackendTest, AllBackendsMatchReferenceAcrossShapesAndFlags) {

@@ -4,20 +4,25 @@
 // source lengths, early-eos rows, frozen/unfrozen serving, and both
 // projection families — plus the session lifecycle contracts (bind
 // exclusivity, re-prime reuse, max_steps/max_len boundary, freeze
-// propagation audit for the decoder stack).
+// propagation audit for the whole model, no per-call weight packing).
 #include "runtime/decode_session.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "backend_util.h"
 #include "decode_test_util.h"
+#include "linalg/gemm_backend.h"
 #include "models/transformer/transformer.h"
 
 namespace qdnn::models {
 namespace {
 
+using qdnn::testing::for_each_gemm_backend;
 using qdnn::testing::tiny_transformer_config;
 using runtime::DecodeSession;
 using runtime::DecodeSessionConfig;
@@ -257,39 +262,129 @@ TEST(DecodeSession, RebindAfterDestructionWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// Freeze propagation audit for the decoder stack (the PR 2 stale-scratch
-// audit, mirrored onto the decode-side modules).
+// Freeze propagation audit for the whole model (InferenceSession's
+// stale-scratch audit, mirrored onto the encoder and decoder stacks),
+// and the per-call weight-pack counter over every prefill path.
 // ---------------------------------------------------------------------------
 
-TEST(DecodeSession, FreezePropagatesThroughDecodeSideModules) {
+// Whether every serving module of the model — the encoder that runs each
+// prefill as well as the decoder stack — is in the expected freeze state.
+void expect_whole_model_frozen(Transformer& model, bool frozen) {
+  EXPECT_EQ(model.src_embedding().frozen(), frozen);
+  EXPECT_EQ(model.tgt_embedding().frozen(), frozen);
+  EXPECT_EQ(model.output_projection().frozen(), frozen);
+  for (index_t l = 0; l < model.num_encoder_layers(); ++l) {
+    EXPECT_EQ(model.encoder_layer(l).frozen(), frozen) << "enc " << l;
+    EXPECT_EQ(model.encoder_layer(l).self_attention().frozen(), frozen)
+        << "enc " << l;
+  }
+  for (index_t l = 0; l < model.num_decoder_layers(); ++l) {
+    EXPECT_EQ(model.decoder_layer(l).frozen(), frozen) << "dec " << l;
+    EXPECT_EQ(model.decoder_layer(l).self_attention().frozen(), frozen)
+        << "dec " << l;
+    EXPECT_EQ(model.decoder_layer(l).cross_attention().frozen(), frozen)
+        << "dec " << l;
+  }
+}
+
+TEST(DecodeSession, FreezePropagatesThroughWholeModel) {
   Transformer model(tiny_config());
   model.set_training(false);
 
   {
     DecodeSession session(model, session_config(2, 8));
     EXPECT_TRUE(session.frozen());
-    EXPECT_TRUE(model.tgt_embedding().frozen());
-    EXPECT_TRUE(model.output_projection().frozen());
-    for (index_t l = 0; l < model.num_decoder_layers(); ++l) {
-      EXPECT_TRUE(model.decoder_layer(l).frozen()) << "layer " << l;
-      EXPECT_TRUE(model.decoder_layer(l).self_attention().frozen());
-      EXPECT_TRUE(model.decoder_layer(l).cross_attention().frozen());
-    }
+    expect_whole_model_frozen(model, true);
   }
 
   // Whole-model unfreeze restores the trainable state.
   model.unfreeze();
-  EXPECT_FALSE(model.tgt_embedding().frozen());
-  EXPECT_FALSE(model.output_projection().frozen());
-  for (index_t l = 0; l < model.num_decoder_layers(); ++l)
-    EXPECT_FALSE(model.decoder_layer(l).frozen()) << "layer " << l;
+  expect_whole_model_frozen(model, false);
 
   // An unfrozen session leaves the model untouched.
   DecodeSession session(model, session_config(2, 8, /*freeze=*/false));
   EXPECT_FALSE(session.frozen());
-  EXPECT_FALSE(model.tgt_embedding().frozen());
-  for (index_t l = 0; l < model.num_decoder_layers(); ++l)
-    EXPECT_FALSE(model.decoder_layer(l).frozen()) << "layer " << l;
+  expect_whole_model_frozen(model, false);
+}
+
+// Counts the gemm calls that transposed a weight per call while one
+// session runs every prefill path and a few steps: the init_staging
+// warm-up, prime_compute at the full and at a ragged source length,
+// commit_row and step().  The counter is read around all of it.
+long long weight_packs_over_serving_cycle(bool freeze) {
+  TransformerConfig config = tiny_config(quadratic::NeuronSpec::proposed(3));
+  config.proj_dim = 16;
+  Transformer model(config);
+  model.set_training(false);
+  const long long before = linalg::gemm_weight_pack_calls();
+  DecodeSession session(model, session_config(2, 8, freeze));
+  const index_t max_src = session.max_src();
+  const Tensor src = random_src(1, max_src, 20, 71);
+  runtime::PrefillStaging staging;
+  session.init_staging(staging);
+  session.prime_compute(src, 0, staging);
+  session.commit_row(0, staging);
+  session.prime_compute(src, max_src / 2, staging);
+  session.commit_row(1, staging);
+  std::vector<index_t> feed{1, 1};
+  for (int s = 0; s < 4; ++s) feed = session.step(feed);
+  return linalg::gemm_weight_pack_calls() - before;
+}
+
+TEST(DecodeSession, FrozenPrefillAndStepPackNoWeights) {
+  // Freeze at bind covers the encoder too, so no prefill path re-packs a
+  // constant weight per call.  The unfrozen control proves the counter
+  // sees those packs.
+  EXPECT_EQ(weight_packs_over_serving_cycle(/*freeze=*/true), 0);
+  EXPECT_GT(weight_packs_over_serving_cycle(/*freeze=*/false), 0);
+}
+
+TEST(DecodeSession, FrozenPrimeComputeBitIdenticalToUnfrozen) {
+  // Prepacked gemm ≡ per-call-packed gemm, so the staged cross-K/V of a
+  // frozen prefill match an unfrozen one bit for bit: short, mid and
+  // full-width sources, full and ragged lengths, under every backend.
+  TransformerConfig config = tiny_config(quadratic::NeuronSpec::proposed(3));
+  config.proj_dim = 16;
+  Transformer model(config);
+  model.set_training(false);
+  const index_t layers = model.num_decoder_layers();
+  const index_t proj = config.proj_dim;
+
+  // The projected rows of every layer, in order, for each case.
+  auto staged_kv = [&](bool freeze) {
+    DecodeSession session(model, session_config(1, 8, freeze));
+    const index_t max_src = session.max_src();
+    runtime::PrefillStaging staging;
+    session.init_staging(staging);
+    std::vector<float> out;
+    for (index_t ts : {index_t{1}, index_t{7}, max_src}) {
+      const Tensor src =
+          random_src(1, ts, 20, static_cast<std::uint64_t>(90 + ts));
+      for (index_t len : {index_t{0}, (ts + 1) / 2}) {
+        session.prime_compute(src, len, staging);
+        for (index_t l = 0; l < layers; ++l) {
+          const index_t offset = l * max_src * proj;
+          out.insert(out.end(), staging.k.data() + offset,
+                     staging.k.data() + offset + ts * proj);
+          out.insert(out.end(), staging.v.data() + offset,
+                     staging.v.data() + offset + ts * proj);
+        }
+      }
+    }
+    return out;
+  };
+
+  for_each_gemm_backend([&](linalg::GemmBackend) {
+    // Freezing packs for the active backend, so each pass binds afresh.
+    const std::vector<float> frozen = staged_kv(true);
+    model.unfreeze();
+    const std::vector<float> unfrozen = staged_kv(false);
+    ASSERT_EQ(frozen.size(), unfrozen.size());
+    ASSERT_FALSE(frozen.empty());
+    EXPECT_EQ(std::memcmp(frozen.data(), unfrozen.data(),
+                          frozen.size() * sizeof(float)),
+              0);
+  });
 }
 
 TEST(DecodeSession, UnfreezeRefreezeTracksWeightUpdates) {

@@ -306,14 +306,16 @@ TEST(InferenceSession, ZeroHeapAllocationsInSteadyState) {
 
   const long long before = g_live_allocs.load();
   const long long packs_before = linalg::gemm_heap_pack_calls();
+  const long long weight_packs_before = linalg::gemm_weight_pack_calls();
   for (int i = 0; i < 10; ++i) session.run(x);
   const long long after = g_live_allocs.load();
   EXPECT_EQ(after - before, 0)
       << "steady-state run() performed " << (after - before)
       << " heap allocations";
   // No steady-state path may fall back to the scratch-allocating gemm
-  // convenience overload.
+  // convenience overload, nor transpose a frozen weight per call.
   EXPECT_EQ(linalg::gemm_heap_pack_calls(), packs_before);
+  EXPECT_EQ(linalg::gemm_weight_pack_calls(), weight_packs_before);
 }
 
 TEST(InferenceSession, WorkspaceWatermarkIsStableAcrossRuns) {

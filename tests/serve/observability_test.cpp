@@ -192,8 +192,9 @@ TEST(Observability, TraceTimelineCarriesTheRequestLifecycle) {
     EXPECT_TRUE(events.count(obs::TraceEvent::kPrefillStart)) << r.id;
     EXPECT_TRUE(events.count(obs::TraceEvent::kPrefillEnd)) << r.id;
     EXPECT_TRUE(events.count(obs::TraceEvent::kCommit)) << r.id;
-    if (!r.tokens.empty())
+    if (!r.tokens.empty()) {
       EXPECT_TRUE(events.count(obs::TraceEvent::kFirstToken)) << r.id;
+    }
     EXPECT_TRUE(events.count(obs::TraceEvent::kRetire)) << r.id;
   }
   // Timestamps are monotone in claim order.

@@ -325,10 +325,12 @@ TEST(BatchScheduler, FreedRowsParkOnceAndStayAtRingZero) {
       EXPECT_EQ(r.reason, FinishReason::kLength);
       got[id_to_index.at(r.id)] = std::move(r.tokens);
     }
-    for (index_t row = 0; row < 3; ++row)
-      if (scheduler.session().row_parked(row))
+    for (index_t row = 0; row < 3; ++row) {
+      if (scheduler.session().row_parked(row)) {
         EXPECT_EQ(scheduler.session().row_steps(row), 0)
             << "parked row " << row << " advanced";
+      }
+    }
   };
 
   // Rows 0, 1, 2 take A, B, C.  Row 2 stays live throughout, so every
@@ -697,7 +699,9 @@ TEST(BatchScheduler, StreamingCallbacksMatchTheResultExactly) {
     EXPECT_EQ(events[i].id, id);
     EXPECT_EQ(events[i].token, r.tokens[i]) << "stream diverged at " << i;
     EXPECT_EQ(events[i].index, static_cast<index_t>(i));
-    if (i > 0) EXPECT_GT(events[i].tick, events[i - 1].tick);
+    if (i > 0) {
+      EXPECT_GT(events[i].tick, events[i - 1].tick);
+    }
   }
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.front().tick, r.first_token_tick)
