@@ -1,6 +1,8 @@
 #include "quadratic/quad_dense.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "linalg/gemm.h"
 #include "nn/linear.h"
@@ -10,32 +12,24 @@ namespace qdnn::quadratic {
 
 namespace {
 
-// Output assembly shared by ProposedQuadraticDense::forward and
-// ::forward_into — one definition so the training and serving paths can
-// never drift.  Writes the per-unit interleave [y_u, f_u1..f_uk] (or just
-// y_u in sum-only mode) from the linear responses `lin` [n, units] and
-// intermediate features `f` [n, units*rank].
-void assemble_proposed_dense(const float* lin, const float* f,
-                             const float* lambda, const float* bias,
-                             index_t n, index_t units, index_t rank,
-                             bool emit_features, float* out) {
-  const index_t uk = units * rank;
-  const index_t per = emit_features ? rank + 1 : 1;
-  const index_t out_w = units * per;
-  for (index_t s = 0; s < n; ++s) {
-    const float* f_row = f + s * uk;
-    float* o_row = out + s * out_w;
-    for (index_t u = 0; u < units; ++u) {
-      const float* f_u = f_row + u * rank;
-      const float* lam = lambda + u * rank;
-      float y2 = 0.0f;
-      for (index_t i = 0; i < rank; ++i) y2 += lam[i] * f_u[i] * f_u[i];
-      float* o_u = o_row + u * per;
-      o_u[0] = lin[s * units + u] + bias[u] + y2;
-      if (emit_features)
-        for (index_t i = 0; i < rank; ++i) o_u[1 + i] = f_u[i];
-    }
+// c [n, cols] = x · Bᵀ for a layer's fused weight operand B [cols, in]:
+// from the pack freeze() made, else fused into the workspace by `fuse`
+// and transposed per call.  The one gemm of the proposed and low-rank
+// layers' forward paths.
+template <typename Fuse>
+void fused_gemm(const linalg::PackedWeights& packed, const Fuse& fuse,
+                const float* x, index_t n, index_t in, index_t cols,
+                float* c, Workspace& ws) {
+  if (packed.packed()) {
+    linalg::gemm_prepacked(false, n, cols, in, 1.0f, x, in, packed, 0.0f,
+                           c, cols);
+    return;
   }
+  float* b = ws.alloc(cols * in);
+  fuse(b);
+  linalg::gemm(false, true, n, cols, in, 1.0f, x, in, b, in, 0.0f, c, cols,
+               ws.alloc(linalg::gemm_scratch_floats(false, true, n, cols,
+                                                    in)));
 }
 
 }  // namespace
@@ -73,26 +67,43 @@ ProposedQuadraticDense::ProposedQuadraticDense(index_t in_features,
   b_.decay = false;
 }
 
+void ProposedQuadraticDense::fuse_weights(float* fused) const {
+  for (index_t u = 0; u < units_; ++u) {
+    float* dst = fused + u * (rank_ + 1) * in_;
+    std::copy_n(w_.value.data() + u * in_, in_, dst);
+    std::copy_n(q_.value.data() + u * rank_ * in_, rank_ * in_, dst + in_);
+  }
+}
+
+void ProposedQuadraticDense::finish(const float* proj, index_t n,
+                                    float* out) const {
+  const index_t per = rank_ + 1;
+  const index_t ch = emit_features_ ? per : 1;
+  for (index_t s = 0; s < n; ++s)
+    for (index_t u = 0; u < units_; ++u) {
+      const float* p_u = proj + (s * units_ + u) * per;
+      const float* lam = lambda_.value.data() + u * rank_;
+      float y2 = 0.0f;
+      for (index_t i = 0; i < rank_; ++i)
+        y2 += lam[i] * p_u[1 + i] * p_u[1 + i];
+      out[(s * units_ + u) * ch] = p_u[0] + b_.value[u] + y2;
+    }
+}
+
 Tensor ProposedQuadraticDense::forward(const Tensor& input) {
   QDNN_CHECK_EQ(input.rank(), 2, name_ << ": expected [N, in]");
   QDNN_CHECK_EQ(input.dim(1), in_, name_ << ": in_features");
   cached_input_ = input;
   const index_t n = input.dim(0);
-  const index_t uk = units_ * rank_;
+  const index_t cols = units_ * (rank_ + 1);
 
-  // Linear part y₁ = w x + b : [N, units]
-  Tensor lin{Shape{n, units_}};
-  linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
-               w_.value.data(), in_, 0.0f, lin.data(), units_);
-  // Intermediate features fᵏ = (Qᵏ)ᵀ x : [N, units*rank]
-  cached_f_ = Tensor{Shape{n, uk}};
-  linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-               q_.value.data(), in_, 0.0f, cached_f_.data(), uk);
-
-  Tensor out{Shape{n, out_features()}};
-  assemble_proposed_dense(lin.data(), cached_f_.data(),
-                          lambda_.value.data(), b_.value.data(), n, units_,
-                          rank_, emit_features_, out.data());
+  // Training reads the live weights, never a freeze-time pack.
+  cached_f_ = Tensor{Shape{n, cols}};
+  Workspace ws;
+  fused_gemm(linalg::PackedWeights{}, [this](float* b) { fuse_weights(b); },
+             input.data(), n, in_, cols, cached_f_.data(), ws);
+  Tensor out = emit_features_ ? cached_f_ : Tensor{Shape{n, units_}};
+  finish(cached_f_.data(), n, out.data());
   return out;
 }
 
@@ -107,48 +118,30 @@ void ProposedQuadraticDense::forward_into(const ConstTensorView& input,
   QDNN_CHECK_EQ(input.rank(), 2, name_ << ": expected [N, in]");
   QDNN_CHECK_EQ(input.dim(1), in_, name_ << ": in_features");
   const index_t n = input.dim(0);
-  const index_t uk = units_ * rank_;
-  const index_t out_w = out_features();
+  const index_t cols = units_ * (rank_ + 1);
   QDNN_CHECK(output.rank() == 2 && output.dim(0) == n &&
-                 output.dim(1) == out_w,
+                 output.dim(1) == out_features(),
              name_ << ": bad output view " << output.shape());
 
-  // Same two GEMMs as forward(), with scratch (intermediates, plus weight
-  // packs unless frozen) drawn from the workspace instead of fresh
-  // tensors.
-  float* lin = ws.alloc(n * units_);
-  float* f = ws.alloc(n * uk);
-  if (packed_w_.packed()) {
-    linalg::gemm_prepacked(false, n, units_, in_, 1.0f, input.data(), in_,
-                           packed_w_, 0.0f, lin, units_);
-    linalg::gemm_prepacked(false, n, uk, in_, 1.0f, input.data(), in_,
-                           packed_q_, 0.0f, f, uk);
-  } else {
-    linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
-                 w_.value.data(), in_, 0.0f, lin, units_,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n,
-                                                      units_, in_)));
-    linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-                 q_.value.data(), in_, 0.0f, f, uk,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n, uk,
-                                                      in_)));
-  }
-
-  assemble_proposed_dense(lin, f, lambda_.value.data(), b_.value.data(), n,
-                          units_, rank_, emit_features_, output.data());
+  // With features emitted the gemm rows are the output's interleave.
+  float* proj = emit_features_ ? output.data() : ws.alloc(n * cols);
+  fused_gemm(packed_, [this](float* b) { fuse_weights(b); }, input.data(),
+             n, in_, cols, proj, ws);
+  finish(proj, n, output.data());
 }
 
 void ProposedQuadraticDense::freeze() {
-  packed_w_.pack(/*trans=*/true, in_, units_, w_.value.data(), in_);
-  packed_q_.pack(/*trans=*/true, in_, units_ * rank_, q_.value.data(), in_);
+  const index_t cols = units_ * (rank_ + 1);
+  std::vector<float> fused(static_cast<std::size_t>(cols * in_));
+  fuse_weights(fused.data());
+  packed_.pack(/*trans=*/true, in_, cols, fused.data(), in_);
   cached_input_ = Tensor{};
   cached_f_ = Tensor{};
   Module::freeze();
 }
 
 void ProposedQuadraticDense::unfreeze() {
-  packed_w_.clear();
-  packed_q_.clear();
+  packed_.clear();
   Module::unfreeze();
 }
 
@@ -164,16 +157,17 @@ Tensor ProposedQuadraticDense::backward(const Tensor& grad_output) {
   //   dL/df_i = g_f_i + 2 λ_i f_i g_y      (y = … + Σ λ_i f_i²)
   Tensor g_y{Shape{n, units_}};
   Tensor g_f{Shape{n, uk}};
-  const index_t per = emit_features_ ? rank_ + 1 : 1;
+  const index_t per = rank_ + 1;
+  const index_t ch = emit_features_ ? per : 1;
   for (index_t s = 0; s < n; ++s) {
     const float* g_row = grad_output.data() + s * out_features();
-    const float* f_row = cached_f_.data() + s * uk;
+    const float* f_row = cached_f_.data() + s * units_ * per;
     for (index_t u = 0; u < units_; ++u) {
-      const float* g_u = g_row + u * per;
+      const float* g_u = g_row + u * ch;
       const float gy = g_u[0];
       g_y.at(s, u) = gy;
       b_.grad[u] += gy;
-      const float* f_u = f_row + u * rank_;
+      const float* f_u = f_row + u * per + 1;
       const float* lam = lambda_.value.data() + u * rank_;
       float* lam_g = lambda_.grad.data() + u * rank_;
       float* gf_u = g_f.data() + s * uk + u * rank_;
@@ -353,29 +347,41 @@ LowRankQuadraticDense::LowRankQuadraticDense(index_t in_features,
   b_.decay = false;
 }
 
+void LowRankQuadraticDense::fuse_weights(float* fused) const {
+  const index_t uk = units_ * rank_;
+  std::copy_n(q1_.value.data(), uk * in_, fused);
+  std::copy_n(q2_.value.data(), uk * in_, fused + uk * in_);
+  std::copy_n(w_.value.data(), units_ * in_, fused + 2 * uk * in_);
+}
+
+void LowRankQuadraticDense::finish(const float* proj, index_t n,
+                                   float* out) const {
+  const index_t uk = units_ * rank_;
+  const index_t cols = 2 * uk + units_;
+  for (index_t s = 0; s < n; ++s) {
+    const float* p_s = proj + s * cols;
+    for (index_t u = 0; u < units_; ++u)
+      out[s * units_ + u] =
+          p_s[2 * uk + u] +
+          (linalg::dot(p_s + u * rank_, p_s + uk + u * rank_, rank_) +
+           b_.value[u]);
+  }
+}
+
 Tensor LowRankQuadraticDense::forward(const Tensor& input) {
   QDNN_CHECK_EQ(input.rank(), 2, name_ << ": expected [N, in]");
   QDNN_CHECK_EQ(input.dim(1), in_, name_ << ": in_features");
   cached_input_ = input;
   const index_t n = input.dim(0);
-  const index_t uk = units_ * rank_;
+  const index_t cols = 2 * units_ * rank_ + units_;
 
-  cached_a_ = Tensor{Shape{n, uk}};
-  cached_c_ = Tensor{Shape{n, uk}};
-  linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-               q1_.value.data(), in_, 0.0f, cached_a_.data(), uk);
-  linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-               q2_.value.data(), in_, 0.0f, cached_c_.data(), uk);
-
+  // Training reads the live weights, never a freeze-time pack.
+  cached_proj_ = Tensor{Shape{n, cols}};
+  Workspace ws;
+  fused_gemm(linalg::PackedWeights{}, [this](float* b) { fuse_weights(b); },
+             input.data(), n, in_, cols, cached_proj_.data(), ws);
   Tensor out{Shape{n, units_}};
-  linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
-               w_.value.data(), in_, 0.0f, out.data(), units_);
-  for (index_t s = 0; s < n; ++s)
-    for (index_t u = 0; u < units_; ++u) {
-      const float* a = cached_a_.data() + s * uk + u * rank_;
-      const float* c = cached_c_.data() + s * uk + u * rank_;
-      out.at(s, u) += linalg::dot(a, c, rank_) + b_.value[u];
-    }
+  finish(cached_proj_.data(), n, out.data());
   return out;
 }
 
@@ -390,57 +396,29 @@ void LowRankQuadraticDense::forward_into(const ConstTensorView& input,
   QDNN_CHECK_EQ(input.rank(), 2, name_ << ": expected [N, in]");
   QDNN_CHECK_EQ(input.dim(1), in_, name_ << ": in_features");
   const index_t n = input.dim(0);
-  const index_t uk = units_ * rank_;
+  const index_t cols = 2 * units_ * rank_ + units_;
   QDNN_CHECK(output.rank() == 2 && output.dim(0) == n &&
                  output.dim(1) == units_,
              name_ << ": bad output view " << output.shape());
 
-  float* a = ws.alloc(n * uk);
-  float* c = ws.alloc(n * uk);
-  if (packed_w_.packed()) {
-    linalg::gemm_prepacked(false, n, uk, in_, 1.0f, input.data(), in_,
-                           packed_q1_, 0.0f, a, uk);
-    linalg::gemm_prepacked(false, n, uk, in_, 1.0f, input.data(), in_,
-                           packed_q2_, 0.0f, c, uk);
-    linalg::gemm_prepacked(false, n, units_, in_, 1.0f, input.data(), in_,
-                           packed_w_, 0.0f, output.data(), units_);
-  } else {
-    linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-                 q1_.value.data(), in_, 0.0f, a, uk,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n, uk,
-                                                      in_)));
-    linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-                 q2_.value.data(), in_, 0.0f, c, uk,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n, uk,
-                                                      in_)));
-    linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
-                 w_.value.data(), in_, 0.0f, output.data(), units_,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n,
-                                                      units_, in_)));
-  }
-  for (index_t s = 0; s < n; ++s)
-    for (index_t u = 0; u < units_; ++u) {
-      const float* a_u = a + s * uk + u * rank_;
-      const float* c_u = c + s * uk + u * rank_;
-      output.at(s, u) += linalg::dot(a_u, c_u, rank_) + b_.value[u];
-    }
+  float* proj = ws.alloc(n * cols);
+  fused_gemm(packed_, [this](float* b) { fuse_weights(b); }, input.data(),
+             n, in_, cols, proj, ws);
+  finish(proj, n, output.data());
 }
 
 void LowRankQuadraticDense::freeze() {
-  const index_t uk = units_ * rank_;
-  packed_q1_.pack(/*trans=*/true, in_, uk, q1_.value.data(), in_);
-  packed_q2_.pack(/*trans=*/true, in_, uk, q2_.value.data(), in_);
-  packed_w_.pack(/*trans=*/true, in_, units_, w_.value.data(), in_);
+  const index_t cols = 2 * units_ * rank_ + units_;
+  std::vector<float> fused(static_cast<std::size_t>(cols * in_));
+  fuse_weights(fused.data());
+  packed_.pack(/*trans=*/true, in_, cols, fused.data(), in_);
   cached_input_ = Tensor{};
-  cached_a_ = Tensor{};
-  cached_c_ = Tensor{};
+  cached_proj_ = Tensor{};
   Module::freeze();
 }
 
 void LowRankQuadraticDense::unfreeze() {
-  packed_q1_.clear();
-  packed_q2_.clear();
-  packed_w_.clear();
+  packed_.clear();
   Module::unfreeze();
 }
 
@@ -455,12 +433,13 @@ Tensor LowRankQuadraticDense::backward(const Tensor& grad_output) {
   //   dL/da = g·c, dL/dc = g·a, then dQ₁ += (dL/da)ᵀ x etc.
   Tensor g_a{Shape{n, uk}};
   Tensor g_c{Shape{n, uk}};
+  const index_t cols = 2 * uk + units_;
   for (index_t s = 0; s < n; ++s)
     for (index_t u = 0; u < units_; ++u) {
       const float gy = grad_output.at(s, u);
       b_.grad[u] += gy;
-      const float* a = cached_a_.data() + s * uk + u * rank_;
-      const float* c = cached_c_.data() + s * uk + u * rank_;
+      const float* a = cached_proj_.data() + s * cols + u * rank_;
+      const float* c = a + uk;
       float* ga = g_a.data() + s * uk + u * rank_;
       float* gc = g_c.data() + s * uk + u * rank_;
       for (index_t i = 0; i < rank_; ++i) {

@@ -34,13 +34,15 @@ class ProposedQuadraticDense : public nn::Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  // v2: both GEMMs and the {y, fᵏ} interleave run on borrowed memory.
+  // v2: one gemm over the fused [w_u; q_u1..q_uk] rows writes every
+  // unit's [y₁, f_1..f_k] straight into the output (into workspace
+  // scratch in sum-only mode); y = y₁ + b + Σλᵢfᵢ² is finished in place.
   Shape output_shape(const Shape& input_shape) const override;
   bool supports_forward_into() const override { return true; }
   void forward_into(const ConstTensorView& input, const TensorView& output,
                     Workspace& ws) override;
 
-  // Freeze caches Wᵀ and Qᵀ as PackedWeights — no per-call trans_b pack.
+  // Freeze packs the fused operand once as one PackedWeights.
   void freeze() override;
   void unfreeze() override;
 
@@ -61,6 +63,14 @@ class ProposedQuadraticDense : public nn::Module {
   nn::Parameter& bias() { return b_; }
 
  private:
+  // Writes W and Q interleaved per unit, [w_u; q_u1..q_uk], into
+  // `fused` ([units·(rank+1), in]).
+  void fuse_weights(float* fused) const;
+  // Sets y = (y₁ + b) + Σᵢ λᵢ·fᵢ² in out's y column of every unit from
+  // the fused gemm rows `proj` ([n, units·(rank+1)]).  With features
+  // emitted, out already holds fᵏ (it may be proj itself).
+  void finish(const float* proj, index_t n, float* out) const;
+
   index_t in_, units_, rank_;
   bool emit_features_;
   std::string name_;
@@ -69,9 +79,8 @@ class ProposedQuadraticDense : public nn::Module {
   nn::Parameter lambda_;  // [units, rank]          diagonal of Λᵏ per unit
   nn::Parameter b_;       // [units]
   Tensor cached_input_;   // [N, in]
-  Tensor cached_f_;       // [N, units*rank]
-  linalg::PackedWeights packed_w_;  // Wᵀ, cached by freeze()
-  linalg::PackedWeights packed_q_;  // Qᵀ, cached by freeze()
+  Tensor cached_f_;       // [N, units*(rank+1)]  fused gemm rows [y₁, fᵏ]
+  linalg::PackedWeights packed_;  // fused [w_u; q_u1..q_uk]ᵀ, by freeze()
 };
 
 // ---------------------------------------------------------------------------
@@ -135,7 +144,7 @@ class LowRankQuadraticDense : public nn::Module {
   void forward_into(const ConstTensorView& input, const TensorView& output,
                     Workspace& ws) override;
 
-  // Freeze caches Q₁ᵀ, Q₂ᵀ and Wᵀ as PackedWeights.
+  // Freeze packs the fused [Q₁; Q₂; W] operand as one PackedWeights.
   void freeze() override;
   void unfreeze() override;
 
@@ -145,6 +154,13 @@ class LowRankQuadraticDense : public nn::Module {
   index_t rank() const { return rank_; }
 
  private:
+  // Writes Q₁, Q₂ and W stacked, [Q₁; Q₂; W], into `fused`
+  // ([2·units·rank + units, in]).
+  void fuse_weights(float* fused) const;
+  // y = Wᵀx + (Q₁ᵀx · Q₂ᵀx + b) per unit, from the fused gemm rows
+  // `proj` ([n, 2·units·rank + units]) into out ([n, units]).
+  void finish(const float* proj, index_t n, float* out) const;
+
   index_t in_, units_, rank_;
   std::string name_;
   nn::Parameter q1_;  // [units*rank, in]
@@ -152,9 +168,8 @@ class LowRankQuadraticDense : public nn::Module {
   nn::Parameter w_;   // [units, in]
   nn::Parameter b_;   // [units]
   Tensor cached_input_;
-  Tensor cached_a_;   // Q₁ᵀx per unit: [N, units*rank]
-  Tensor cached_c_;   // Q₂ᵀx per unit: [N, units*rank]
-  linalg::PackedWeights packed_q1_, packed_q2_, packed_w_;
+  Tensor cached_proj_;  // fused gemm rows [Q₁ᵀx | Q₂ᵀx | Wᵀx] per sample
+  linalg::PackedWeights packed_;  // fused [Q₁; Q₂; W]ᵀ, by freeze()
 };
 
 // ---------------------------------------------------------------------------

@@ -58,8 +58,9 @@ class QuantizedLinear : public nn::Module {
   std::vector<float> dequant_scales_;  // [out]
 };
 
-// Integer proposed neuron: one fused int8 GEMM for [w; Qᵏ], fp32 epilogue
-// y = y₁ + b + Σλᵢfᵢ², output layout identical to ProposedQuadraticDense.
+// Integer proposed neuron: two int8 GEMMs (w, then Qᵏ) over one quantized
+// input, fp32 epilogue y = y₁ + b + Σλᵢfᵢ², output layout identical to
+// ProposedQuadraticDense.
 class QuantizedProposedDense : public nn::Module {
  public:
   QuantizedProposedDense(quadratic::ProposedQuadraticDense& trained,

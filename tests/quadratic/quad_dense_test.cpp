@@ -3,15 +3,158 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "backend_util.h"
 #include "gradcheck_util.h"
 #include "linalg/eig.h"
+#include "linalg/gemm.h"
 
 namespace qdnn::quadratic {
 namespace {
 
+using qdnn::testing::for_each_gemm_backend;
 using qdnn::testing::gradcheck_module;
 using qdnn::testing::random_tensor;
+
+nn::Parameter& param_named(nn::Module& layer, const std::string& suffix) {
+  for (nn::Parameter* p : layer.parameters())
+    if (p->name.size() >= suffix.size() &&
+        p->name.compare(p->name.size() - suffix.size(), suffix.size(),
+                        suffix) == 0)
+      return *p;
+  throw std::runtime_error("no parameter " + suffix);
+}
+
+// x · Bᵀ for a row-major weight B [cols, in], as one plain gemm.
+std::vector<float> project(const Tensor& x, const Tensor& b) {
+  const index_t n = x.dim(0), in = x.dim(1), cols = b.dim(0);
+  std::vector<float> c(static_cast<std::size_t>(n * cols));
+  linalg::gemm(false, true, n, cols, in, 1.0f, x.data(), in, b.data(), in,
+               0.0f, c.data(), cols);
+  return c;
+}
+
+// The proposed dense layer as separate W and Q gemms and a per-unit
+// assembly of [y, f_1..f_k] with y = (y₁ + b) + Σλᵢfᵢ², the λ sum formed
+// from 0 — the computation its one fused gemm must reproduce bit for bit.
+Tensor proposed_dense_reference(ProposedQuadraticDense& layer,
+                                const Tensor& x) {
+  const index_t n = x.dim(0), units = layer.units(), rank = layer.rank();
+  const index_t ch = layer.emit_features() ? rank + 1 : 1;
+  const std::vector<float> lin = project(x, layer.w().value);
+  const std::vector<float> f = project(x, layer.q().value);
+  Tensor out{Shape{n, layer.out_features()}};
+  for (index_t s = 0; s < n; ++s)
+    for (index_t u = 0; u < units; ++u) {
+      const float* f_u = f.data() + (s * units + u) * rank;
+      const float* lam = layer.lambda().value.data() + u * rank;
+      float y2 = 0.0f;
+      for (index_t i = 0; i < rank; ++i) y2 += lam[i] * f_u[i] * f_u[i];
+      float* o_u = out.data() + (s * units + u) * ch;
+      o_u[0] = lin[static_cast<std::size_t>(s * units + u)] +
+               layer.bias().value[u] + y2;
+      if (layer.emit_features())
+        for (index_t i = 0; i < rank; ++i) o_u[1 + i] = f_u[i];
+    }
+  return out;
+}
+
+// The low-rank dense layer as separate Q₁, Q₂ and W gemms, then
+// y = Wᵀx + (Q₁ᵀx · Q₂ᵀx + b).
+Tensor lowrank_dense_reference(LowRankQuadraticDense& layer,
+                               const Tensor& x) {
+  const index_t n = x.dim(0), rank = layer.rank();
+  const std::vector<float> a = project(x, param_named(layer, ".q1").value);
+  const std::vector<float> c = project(x, param_named(layer, ".q2").value);
+  const std::vector<float> lin = project(x, param_named(layer, ".w").value);
+  const Tensor& b = param_named(layer, ".b").value;
+  const index_t units = b.dim(0), uk = units * rank;
+  Tensor out{Shape{n, units}};
+  for (index_t s = 0; s < n; ++s)
+    for (index_t u = 0; u < units; ++u)
+      out.at(s, u) = lin[static_cast<std::size_t>(s * units + u)] +
+                     (linalg::dot(a.data() + s * uk + u * rank,
+                                  c.data() + s * uk + u * rank, rank) +
+                      b[u]);
+  return out;
+}
+
+// forward, unfrozen forward_into and frozen forward_into all equal `ref`
+// bit for bit; the layer is left unfrozen.
+void expect_every_path_equals(nn::Module& layer, const Tensor& x,
+                              const Tensor& ref) {
+  EXPECT_EQ(max_abs_diff(layer.forward(x), ref), 0.0f) << "forward";
+  for (bool frozen : {false, true}) {
+    if (frozen) layer.freeze();
+    Tensor y{ref.shape()};
+    Workspace ws;
+    layer.forward_into(x, y, ws);
+    EXPECT_EQ(max_abs_diff(y, ref), 0.0f)
+        << (frozen ? "frozen" : "unfrozen") << " forward_into";
+  }
+  layer.unfreeze();
+}
+
+// Both fused dense layers ≡ their separate-gemm references under every
+// backend, at batch sizes 1, 2, 7 and 13, with fused operand widths off
+// the 16-column panel grid (proposed: 9, 20 and 35 columns; low-rank:
+// 15, 35 and 63), features emitted and sum-only.  Biases are drawn
+// nonzero so the epilogue's addition order shows in the bits.
+TEST(FusedDense, EveryPathBitIdenticalToSeparateGemmReference) {
+  for_each_gemm_backend([](linalg::GemmBackend) {
+    int cases = 0;
+    for (index_t m : {1, 2, 7, 13})
+      for (auto [units, rank] : {std::pair<index_t, index_t>{3, 2},
+                                 {5, 3},
+                                 {7, 4}})
+        for (index_t in : {11, 37}) {
+          SCOPED_TRACE("m=" + std::to_string(m) + " units=" +
+                       std::to_string(units) + " k=" + std::to_string(rank) +
+                       " in=" + std::to_string(in));
+          const Tensor x = random_tensor(Shape{m, in}, 200 + cases);
+          for (bool emit : {true, false}) {
+            SCOPED_TRACE(emit ? "emit" : "sum-only");
+            Rng rng(100 + cases);
+            ProposedQuadraticDense layer(in, units, rank, rng, 1e-3f,
+                                         "fused", emit);
+            rng.fill_normal(layer.bias().value, 0.0f, 1.0f);
+            expect_every_path_equals(layer, x,
+                                     proposed_dense_reference(layer, x));
+          }
+          Rng rng(300 + cases);
+          LowRankQuadraticDense lowrank(in, units, rank, rng);
+          rng.fill_normal(param_named(lowrank, ".b").value, 0.0f, 1.0f);
+          expect_every_path_equals(lowrank, x,
+                                   lowrank_dense_reference(lowrank, x));
+          ++cases;
+        }
+    EXPECT_EQ(cases, 24);
+  });
+}
+
+// Frozen with features emitted, the one gemm writes the output directly:
+// the layer draws no workspace.  Sum-only mode draws exactly the gemm's
+// [y₁, fᵏ] rows; unfrozen, the fused operand and its transpose too.
+TEST(ProposedDense, FrozenForwardIntoDrawsNoWorkspace) {
+  const index_t n = 5, in = 12, units = 4, rank = 3;
+  const Tensor x = random_tensor(Shape{n, in}, 40);
+  for (bool emit : {true, false}) {
+    Rng rng(41);
+    ProposedQuadraticDense layer(in, units, rank, rng, 1e-3f, "ws", emit);
+    Tensor y{Shape{n, layer.out_features()}};
+    Workspace unfrozen_ws;
+    layer.forward_into(x, y, unfrozen_ws);
+    layer.freeze();
+    Workspace ws;
+    layer.forward_into(x, y, ws);
+    EXPECT_EQ(ws.watermark(), emit ? 0 : n * units * (rank + 1))
+        << (emit ? "emit" : "sum-only");
+    EXPECT_GT(unfrozen_ws.watermark(), ws.watermark());
+  }
+}
 
 // --------------------------- proposed neuron ------------------------------
 
