@@ -49,14 +49,17 @@ BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 // Gemm backend section: the three serving shapes every decode tick is
 // built from, prepacked (the frozen-session path), per dispatch backend.
 // Arg0 picks the shape, Arg1 the backend (GemmBackend enum value);
-// combinations the build/CPU can't run are skipped.
+// combinations the build/CPU can't run are skipped.  CI's backend gate
+// reads these rows (label "<shape>/<backend>") from the JSON report.
 void BM_GemmBackend(benchmark::State& state) {
   struct ServeShape {
     const char* name;
     index_t m, n, k;
   };
   // decode step [batch x P][P x P]; prefill [N*T x D][D x D]; logit
-  // projection [batch x vocab] — dims from bench/serve_bench's model.
+  // projection [batch x vocab] — a d_model-48, vocab-256 decoder at batch
+  // 8 with 28-token sources (tests/linalg/gemm_backend_test.cpp checks
+  // the same shapes for parity).
   static constexpr ServeShape kShapes[] = {
       {"decode", 8, 48, 48},
       {"prefill", 224, 48, 48},
@@ -289,4 +292,15 @@ BENCHMARK(BM_ProposedMlpSessionUnfrozen)->Arg(1)->Arg(8)->Arg(64);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The backend this process resolved (QDNN_SIMD build option, CPU
+  // support, QDNN_GEMM_BACKEND), in the report's context block.
+  benchmark::AddCustomContext(
+      "gemm_backend",
+      linalg::gemm_backend_name(linalg::active_gemm_backend()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -79,8 +79,6 @@ BatchScheduler::BatchScheduler(models::Transformer& model,
     tt.window = window;
     tt.buf.reserve(window);
   }
-  latency_ring_.window = static_cast<std::size_t>(config_.stats_window);
-  latency_ring_.buf.reserve(latency_ring_.window);
   tick_ring_.window = static_cast<std::size_t>(config_.stats_window);
   tick_ring_.buf.reserve(tick_ring_.window);
   register_metrics();
@@ -577,7 +575,6 @@ void BatchScheduler::retire(index_t row, FinishReason reason,
       cc.first_token_us->observe(result.phases.first_token_ns / 1000);
     cc.decode_us->observe(result.phases.decode_ns / 1000);
   }
-  latency_ring_.record(static_cast<double>(ticks_ - slot.submit_tick));
   latency_hist_->observe(ticks_ - slot.submit_tick);
   completed_.push_back(std::move(result));
   inflight_ids_.erase(slot.id);
@@ -924,10 +921,6 @@ SchedulerStats BatchScheduler::stats() const {
   s.stepped_ticks = static_cast<index_t>(stepped_ticks_counter_->value());
   s.total_tokens = static_cast<index_t>(tokens_counter_->value());
   s.mean_occupancy = mean_occupancy();
-  s.latency_samples = static_cast<index_t>(latency_ring_.buf.size());
-  s.latency_p50 = ring_percentile(latency_ring_.buf, 0.50);
-  s.latency_p99 = ring_percentile(latency_ring_.buf, 0.99);
-  s.tick_samples = static_cast<index_t>(tick_ring_.buf.size());
   s.tick_mean_ms = tick_ms_count_ == 0
                        ? 0.0
                        : tick_ms_sum_ / static_cast<double>(tick_ms_count_);

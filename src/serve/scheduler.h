@@ -23,8 +23,9 @@
 //      freed slot is refilled at the very next tick.
 //
 // Throughput therefore tracks occupancy instead of the slowest request
-// (bench/serve_bench.cpp measures continuous vs static batching under
-// Poisson arrivals).
+// (qbench reports it as scheduler.occupancy_mean under open-loop
+// arrivals; BatchScheduler.FuzzedAdmissionOrdersMatchSoloGreedyBitExactly
+// pins the tokens to the solo decode).
 //
 // Front-end behaviors (the multi-tenant contract, per request):
 //
@@ -193,16 +194,10 @@ struct SchedulerStats {
   index_t stepped_ticks = 0;
   index_t total_tokens = 0;
   double mean_occupancy = 0.0;
-  // Request latency (finish − submit, in ticks) over the most recent
-  // config.stats_window retirements, all classes pooled — the end-to-end
-  // sibling of the per-class queue-wait/TTFT percentiles.
-  index_t latency_samples = 0;
-  double latency_p50 = 0.0, latency_p99 = 0.0;
   // Wall time of stepped ticks (milliseconds, steady_clock): mean over
   // ALL stepped ticks since construction, p99 over the most recent
   // config.stats_window — what admission-mode jitter looks like from the
   // serving thread.
-  index_t tick_samples = 0;
   double tick_mean_ms = 0.0, tick_p99_ms = 0.0;
   // Paged KV / prefix-cache counters (PR 10).  The prefix counts come
   // from the session's cache (hits include the pool workers' probes);
@@ -426,8 +421,7 @@ class BatchScheduler {
 
   std::array<SampleRing, kPriorityClasses> queue_wait_ring_;
   std::array<SampleRing, kPriorityClasses> ttft_ring_;
-  SampleRing latency_ring_;  // finish − submit ticks, all classes pooled
-  SampleRing tick_ring_;     // stepped-tick wall ms
+  SampleRing tick_ring_;  // stepped-tick wall ms
   double tick_ms_sum_ = 0.0;
   index_t tick_ms_count_ = 0;
 

@@ -303,13 +303,9 @@ ServerStats Server::stats() const {
     s.totals.total_pages += ps.total_pages;
     occupancy_weighted +=
         ps.mean_occupancy * static_cast<double>(ps.stepped_ticks);
-    // Latency/tick percentiles roll up as worst-shard (the conservative
-    // tail — per-shard tick clocks advance independently); the tick-time
-    // mean is stepped-tick weighted like occupancy.
-    s.totals.latency_samples += ps.latency_samples;
-    s.totals.latency_p50 = std::max(s.totals.latency_p50, ps.latency_p50);
-    s.totals.latency_p99 = std::max(s.totals.latency_p99, ps.latency_p99);
-    s.totals.tick_samples += ps.tick_samples;
+    // Tick percentiles roll up as worst-shard (the conservative tail —
+    // per-shard tick clocks advance independently); the tick-time mean is
+    // stepped-tick weighted like occupancy.
     tick_ms_weighted +=
         ps.tick_mean_ms * static_cast<double>(ps.stepped_ticks);
     s.totals.tick_p99_ms = std::max(s.totals.tick_p99_ms, ps.tick_p99_ms);

@@ -12,7 +12,8 @@
 //     replicas share no mutable state), pumped by a dedicated worker
 //     thread.  Shards never touch each other, so aggregate tokens/sec
 //     scales near-linearly with shards on a multi-core machine
-//     (bench/serve_bench.cpp measures 1-shard vs 4-shard throughput).
+//     (qbench's chat and offline_burst workloads serve through 2 shards;
+//     Server.MultiShardStreamsAreBitIdenticalToSolo pins the tokens).
 //   * routing — submit() join-shortest-queues: the request goes to the
 //     shard with the fewest unresolved requests (atomic counters, no
 //     locks on the read), ties broken round-robin by submit sequence.
@@ -74,7 +75,7 @@ struct ServerConfig {
 // Per-shard scheduler snapshots plus a cross-shard roll-up: counters and
 // sample counts are summed, mean_occupancy and tick_mean_ms are
 // stepped-tick weighted, and every percentile field (queue wait, TTFT,
-// latency, tick p99) reports the WORST shard — a conservative tail;
+// tick p99) reports the WORST shard — a conservative tail;
 // per-shard tick clocks advance independently, so mixing their samples
 // would be meaningless.
 struct ServerStats {

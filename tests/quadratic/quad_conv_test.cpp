@@ -62,7 +62,8 @@ Tensor proposed_conv_reference(ProposedQuadConv2d& conv, const Tensor& x) {
 // every backend, over kernels, strides and paddings whose output extents
 // leave n_cols off the 16-column panel grid (1, 49, 45 and 57 columns;
 // the 19-wide rows also take the 16-float copy path at stride 1), with
-// the fᵏ channels emitted and in sum-only mode.
+// the fᵏ channels emitted and in sum-only mode.  Biases are drawn
+// nonzero so the order y = (y₁ + b) + Σλᵢfᵢ² is checked too.
 TEST(ProposedConv, ServingPathBitIdenticalToTwoGemmReference) {
   for_each_gemm_backend([](linalg::GemmBackend) {
     int cases = 0;
@@ -86,6 +87,7 @@ TEST(ProposedConv, ServingPathBitIdenticalToTwoGemmReference) {
               Rng rng(40 + cases);
               ProposedQuadConv2d conv(3, 2, kernel, stride, pad, 3, rng,
                                       1e-3f, "sweep", emit);
+              rng.fill_normal(conv.bias().value, 0.0f, 1.0f);
               const Tensor x =
                   random_tensor(Shape{2, 3, h, w}, 80 + cases++);
               const Tensor y = conv.forward(x);

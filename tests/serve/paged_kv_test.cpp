@@ -93,6 +93,22 @@ TEST(PagedKv, PrefixHitSkipsPrimeAndMatchesColdPrimeBitExactly) {
   const SchedulerStats stats = scheduler.stats();
   EXPECT_GE(stats.prefix_hits, 1);
   EXPECT_EQ(stats.prefix_insertions, 1);
+
+  // With the cache off the same source primes cold every time and
+  // decodes the same tokens; nothing is looked up or pinned.  (A second,
+  // identically built replica: a model binds one scheduler at a time.)
+  Transformer replica(tiny_transformer_config());
+  replica.set_training(false);
+  BatchSchedulerConfig off = scheduler_config(2, max_steps);
+  off.session.prefix_cache_entries = 0;
+  BatchScheduler uncached(replica, off);
+  EXPECT_EQ(run_one(uncached, src, len, max_steps), reference);
+  EXPECT_EQ(run_one(uncached, src, len, max_steps), reference);
+  const SchedulerStats off_stats = uncached.stats();
+  EXPECT_EQ(off_stats.prefix_hits, 0);
+  EXPECT_EQ(off_stats.prefix_insertions, 0);
+  EXPECT_EQ(uncached.session().free_pages(),
+            uncached.session().total_pages());
 }
 
 TEST(PagedKv, DistinctSourcesMissAndLruEvictsUnderCapacity) {
@@ -214,13 +230,22 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
     Priority priority;
     std::vector<index_t> reference;
   };
+  // 4 sources, each submitted twice (with its own budget), so the
+  // cache-on runs hit on a tight pool: a hit commits 0 cross pages while
+  // pinned prefixes compete with decoding rows for the 8 pages.
   std::vector<Job> jobs;
   Rng rng(4242);
   for (index_t i = 0; i < 8; ++i) {
     Job j;
-    const index_t ts = 3 + rng.uniform_int(4);  // 3..6
-    j.src = random_src_ids(1, ts, 20, 9000 + i);
-    j.len = 1 + rng.uniform_int(ts);
+    if (i < 4) {
+      const index_t ts = 3 + rng.uniform_int(4);  // 3..6
+      j.src = random_src_ids(1, ts, 20, 9000 + i);
+      j.len = 1 + rng.uniform_int(ts);
+    } else {
+      const Job& first = jobs[static_cast<std::size_t>(i - 4)];
+      j.src = first.src;
+      j.len = first.len;
+    }
     j.budget = max_steps - rng.uniform_int(3);  // deep rows: 10..12
     j.priority = static_cast<Priority>(i % kPriorityClasses);
     j.reference = model.greedy_decode_reference(j.src, {j.len}, kBos,
@@ -229,8 +254,11 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
   }
 
   // The page gate and its held prefill are one path for every worker
-  // count: run the fuzz inline (0) and on a threaded pool (2).
-  index_t sync_preemptions = 0;
+  // count: run the fuzz inline (0) and on a threaded pool (2), with the
+  // prefix cache on (its pins tighten the pool further) and off.
+  // Inline preemptions per cache setting: each setting must preempt.
+  std::map<index_t, index_t> sync_preemptions;
+  for (const index_t cache_entries : {16, 0})
   for (const index_t workers : {0, 2})
   for (const std::uint64_t fuzz_seed : {11u, 22u, 33u}) {
     BatchSchedulerConfig config = scheduler_config(4, max_steps);
@@ -240,9 +268,11 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
     // 8 pages for a width-4 batch (dense bound 20) oversubscribes hard:
     // rows MUST deepen into a dry pool and trigger preemption.
     config.session.pool_pages = 8;
+    config.session.prefix_cache_entries = cache_entries;
     config.prefill_workers = workers;
     BatchScheduler scheduler(model, config);
-    SCOPED_TRACE(::testing::Message() << "workers " << workers
+    SCOPED_TRACE(::testing::Message() << "cache entries " << cache_entries
+                                      << ", workers " << workers
                                       << ", fuzz seed " << fuzz_seed);
 
     Rng order_rng(fuzz_seed);
@@ -278,16 +308,27 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
           << "preempted/replayed request diverged from solo decode";
     }
     const SchedulerStats stats = scheduler.stats();
-    if (workers == 0) sync_preemptions += stats.preemptions;
+    if (workers == 0) sync_preemptions[cache_entries] += stats.preemptions;
+    // Inline admission publishes each prefix before the next lookup, so
+    // a repeated source must hit; threaded workers may race both copies
+    // past the lookup, so only the inline runs are held to it.
+    if (cache_entries == 0) {
+      EXPECT_EQ(stats.prefix_hits, 0);
+    } else if (workers == 0) {
+      EXPECT_GT(stats.prefix_hits, 0) << "shared sources never hit the cache";
+    }
     EXPECT_EQ(stats.total_pages, 8);
     // Drained: every non-free page is held only by the prefix cache.
     EXPECT_EQ(scheduler.session().free_pages() +
                   scheduler.session().reclaimable_pages(),
               scheduler.session().total_pages());
   }
-  EXPECT_GT(sync_preemptions, 0)
-      << "pool of 8 pages under 8 deep requests never preempted — the "
-         "oversubscription path went untested";
+  for (const index_t cache_entries : {16, 0}) {
+    EXPECT_GT(sync_preemptions[cache_entries], 0)
+        << "pool of 8 pages under 8 deep requests never preempted with "
+        << cache_entries << " cache entries — the oversubscription path "
+           "went untested";
+  }
 }
 
 }  // namespace

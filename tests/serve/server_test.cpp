@@ -242,44 +242,155 @@ TEST(Server, StreamsTokensFromTheShardWorker) {
 }
 
 TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
-  // A burst into one tightly bounded shard: submits outrun the worker's
-  // ticks by orders of magnitude, so most of the burst load-sheds; a few
-  // survivors get cancelled.  Every id must still resolve exactly once.
-  // Each streamed token stretches its tick, so an admitted request holds
-  // the only row for milliseconds: the shed no longer hinges on the
-  // submitting thread never being descheduled mid-burst.
-  auto replicas = make_replicas(1);
-  ServerConfig config = server_config(1, 8);
-  config.shard.max_queue = 1;
-  Server server(raw(replicas), config);
+  // The adversarial burst: every 4th source is a full-max_src prefill
+  // amid 4-token ones (head-of-line blockers for both shards' prefill
+  // workers), priorities are random and some requests carry a tight
+  // deadline.  Submits into two two-row, three-deep shards outrun the
+  // workers' ticks by orders of magnitude, so much of the burst
+  // load-sheds; a cancel storm follows.  Every id must resolve exactly
+  // once, and whatever was served must agree with the solo decode.  Each
+  // streamed token stretches its tick, so an admitted request holds its
+  // row for milliseconds: the shed no longer hinges on the submitting
+  // thread never being descheduled mid-burst.
+  auto replicas = make_replicas(2);
+  const index_t max_steps = 8;
+  const index_t max_src = tiny_transformer_config().max_len;
+  struct Entry {
+    Tensor src;
+    index_t budget = 0;
+    Priority priority = Priority::kNormal;
+    index_t deadline_tick = 0;
+    std::vector<index_t> reference;
+  };
+  // References first, so the burst below is not spread out by them.
+  Rng rng(211);
+  std::vector<Entry> entries;
+  for (index_t i = 0; i < 24; ++i) {
+    Entry e;
+    e.src = random_src_ids(1, i % 4 == 0 ? max_src : 4, 20,
+                           520 + static_cast<std::uint64_t>(i));
+    e.budget = 4 + rng.uniform_int(max_steps - 3);  // 4..max_steps
+    e.priority = static_cast<Priority>(rng.uniform_int(kPriorityClasses));
+    if (i % 7 == 3) e.deadline_tick = 2 + rng.uniform_int(4);
+    e.reference = replicas[0]->greedy_decode_reference(e.src, {}, kBos,
+                                                       kEos, e.budget)[0];
+    entries.push_back(std::move(e));
+  }
 
+  ServerConfig config = server_config(2, max_steps);
+  config.shard.max_queue = 3;
+  config.shard.prefill_workers = 1;
+  Server server(raw(replicas), config);
+  std::map<index_t, std::size_t> id_to_entry;
   std::vector<index_t> ids;
-  for (int i = 0; i < 16; ++i) {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
     Request req;
-    req.src_ids = random_src_ids(1, 4, 20,
-                                 520 + static_cast<std::uint64_t>(i));
-    req.max_new_tokens = 6;
+    req.src_ids = entries[i].src;
+    req.max_new_tokens = entries[i].budget;
+    req.priority = entries[i].priority;
+    req.deadline_tick = entries[i].deadline_tick;
     req.on_token = [](const StreamEvent&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     };
-    ids.push_back(server.submit(std::move(req)));
+    const index_t id = server.submit(std::move(req));
+    id_to_entry[id] = i;
+    ids.push_back(id);
   }
-  server.cancel(ids[0]);  // whatever state it is in — queued, live, shed
-  server.cancel(ids[1]);
-  server.wait_idle();
+  // The cancel storm: every third id, whatever state it is in — queued,
+  // prefilling, live or already resolved — each followed at once by a
+  // double-cancel that must be a no-op.
+  index_t cancel_hits = 0;
+  for (std::size_t i = 0; i < ids.size(); i += 3) {
+    if (server.cancel(ids[i])) ++cancel_hits;
+    EXPECT_FALSE(server.cancel(ids[i])) << "double-cancel of id " << ids[i];
+  }
+  server.wait_idle();  // a deadlock or a leaked row hangs right here
 
   auto results = server.take_results();
   ASSERT_EQ(results.size(), ids.size());
   std::set<index_t> seen;
-  index_t sheds = 0;
+  index_t sheds = 0, cancelled = 0;
   for (const RequestResult& r : results) {
     EXPECT_TRUE(seen.insert(r.id).second)
         << "id " << r.id << " resolved twice";
-    if (r.reason == FinishReason::kShed) ++sheds;
+    const std::vector<index_t>& ref =
+        entries[id_to_entry.at(r.id)].reference;
+    switch (r.reason) {
+      case FinishReason::kShed:
+        ++sheds;
+        EXPECT_TRUE(r.tokens.empty()) << "shed id " << r.id;
+        break;
+      case FinishReason::kCancelled:
+        ++cancelled;
+        [[fallthrough]];
+      case FinishReason::kDeadline:
+        EXPECT_TRUE(r.tokens.size() <= ref.size() &&
+                    std::equal(r.tokens.begin(), r.tokens.end(),
+                               ref.begin()))
+            << "id " << r.id << " cut short but not a prefix of its solo "
+            << "decode";
+        break;
+      case FinishReason::kEos:
+      case FinishReason::kLength:
+        EXPECT_EQ(r.tokens, ref) << "completed id " << r.id;
+        break;
+      case FinishReason::kError:
+        ADD_FAILURE() << "id " << r.id << " errored: " << r.error;
+        break;
+    }
   }
   for (const index_t id : ids) EXPECT_EQ(seen.count(id), 1u);
-  EXPECT_GT(sheds, 0) << "a 16-submit burst into max_queue=1 must shed";
+  EXPECT_GT(sheds, 0) << "a 24-submit burst into 2 x max_queue=3 must shed";
+  // A cancel that lands while its prefill is in flight wins over a
+  // deadline passing in the meantime, so every accepted cancel resolves
+  // kCancelled and nothing else does.
+  EXPECT_EQ(cancelled, cancel_hits);
   EXPECT_FALSE(server.cancel(ids[0])) << "everything already resolved";
+}
+
+TEST(Server, StatsTotalsRollUpAcrossShards) {
+  // Server::stats() folds the shards' snapshots into `totals`: counters
+  // sum, mean_occupancy and tick_mean_ms are weighted by each shard's
+  // stepped ticks, and tick_p99_ms is the worst shard's.  JSQ sends
+  // the first request to shard 0 and the short second one to shard 1;
+  // the third, submitted while both still decode (each token sleeps),
+  // ties and joins shard 0.  The shards then step different tick counts
+  // at different occupancies, so an unweighted mean would not match.
+  auto replicas = make_replicas(2);
+  const index_t max_steps = 10;
+  Server server(raw(replicas), server_config(2, max_steps));
+  const index_t budgets[] = {max_steps, 2, max_steps};
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    Request req;
+    req.src_ids = random_src_ids(1, 5, 20, 540 + i);
+    req.max_new_tokens = budgets[i];
+    req.on_token = [](const StreamEvent&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    server.submit(std::move(req));
+  }
+  server.wait_idle();
+  EXPECT_EQ(server.take_results().size(), 3u);
+
+  const ServerStats stats = server.stats();
+  ASSERT_EQ(stats.per_shard.size(), 2u);
+  const SchedulerStats& t = stats.totals;
+  const SchedulerStats& s0 = stats.per_shard[0];
+  const SchedulerStats& s1 = stats.per_shard[1];
+  ASSERT_GT(s0.stepped_ticks, 0) << "both shards must have served";
+  ASSERT_GT(s1.stepped_ticks, 0) << "both shards must have served";
+  const double w0 = static_cast<double>(s0.stepped_ticks);
+  const double w1 = static_cast<double>(s1.stepped_ticks);
+  EXPECT_EQ(t.stepped_ticks, s0.stepped_ticks + s1.stepped_ticks);
+  EXPECT_EQ(t.total_tokens, s0.total_tokens + s1.total_tokens);
+  EXPECT_DOUBLE_EQ(t.mean_occupancy,
+                   (s0.mean_occupancy * w0 + s1.mean_occupancy * w1) /
+                       (w0 + w1));
+  EXPECT_DOUBLE_EQ(t.tick_mean_ms,
+                   (s0.tick_mean_ms * w0 + s1.tick_mean_ms * w1) / (w0 + w1));
+  EXPECT_EQ(t.tick_p99_ms, std::max(s0.tick_p99_ms, s1.tick_p99_ms));
+  EXPECT_EQ(t.per_class[static_cast<std::size_t>(Priority::kNormal)].completed,
+            3);
 }
 
 TEST(Server, ThrowingCallbackResolvesErrorAndTheShardKeepsServing) {
