@@ -47,6 +47,8 @@ obs::Counter& g_weight_pack_calls =
     obs::MetricsRegistry::global().counter("gemm.weight_pack_calls");
 obs::Counter& g_threaded_dispatches =
     obs::MetricsRegistry::global().counter("gemm.threaded_dispatches");
+obs::Counter& g_worker_chunks =  // chunks a pool worker ran, not the caller
+    obs::MetricsRegistry::global().counter("gemm.worker_chunks");
 thread_local int t_serial_depth = 0;
 
 bool cpu_has_avx2_fma() {
@@ -201,6 +203,7 @@ class GemmPool {
       index_t c;
       while (claim(my_gen, c)) {
         run_rows(job_, c * chunk_, std::min(job_.m, (c + 1) * chunk_));
+        g_worker_chunks.inc();  // before complete(): the caller sees it
         complete();
       }
     }

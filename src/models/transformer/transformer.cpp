@@ -92,14 +92,14 @@ void EncoderLayer::forward_masked_into(const ConstTensorView& input,
   const TensorView a = ws.take(input.shape());
   self_attn_.self_forward_into(input, a, lengths, ws);
   const TensorView r1 = ws.take(input.shape());
-  for (index_t i = 0; i < count; ++i) r1[i] = a[i] + input[i];
+  nn::residual_add(a.data(), input.data(), r1.data(), count);
   const TensorView x1 = ws.take(input.shape());
   ln1_.forward_into(r1, x1, ws);
 
   const TensorView f = ws.take(input.shape());
   ffn_.forward_into(x1, f, ws);
   const TensorView r2 = ws.take(input.shape());
-  for (index_t i = 0; i < count; ++i) r2[i] = f[i] + x1[i];
+  nn::residual_add(f.data(), x1.data(), r2.data(), count);
   ln2_.forward_into(r2, output, ws);
 }
 
@@ -255,21 +255,21 @@ void DecoderLayer::forward_into(const ConstTensorView& input,
   const TensorView a = ws.take(row_shape);
   self_step_.forward_into(input, a, ws);
   const TensorView r1 = ws.take(row_shape);
-  for (index_t i = 0; i < count; ++i) r1[i] = a[i] + input[i];
+  nn::residual_add(a.data(), input.data(), r1.data(), count);
   const TensorView y1 = ws.take(row_shape);
   ln1_.forward_into(r1, y1, ws);
 
   const TensorView c = ws.take(row_shape);
   cross_step_.forward_into(y1, c, ws);
   const TensorView r2 = ws.take(row_shape);
-  for (index_t i = 0; i < count; ++i) r2[i] = c[i] + y1[i];
+  nn::residual_add(c.data(), y1.data(), r2.data(), count);
   const TensorView y2 = ws.take(row_shape);
   ln2_.forward_into(r2, y2, ws);
 
   const TensorView f = ws.take(row_shape);
   ffn_.forward_into(y2, f, ws);
   const TensorView r3 = ws.take(row_shape);
-  for (index_t i = 0; i < count; ++i) r3[i] = f[i] + y2[i];
+  nn::residual_add(f.data(), y2.data(), r3.data(), count);
   ln3_.forward_into(r3, output, ws);
 }
 

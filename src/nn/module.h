@@ -71,6 +71,13 @@ struct PipelineStage {
   bool is_add() const { return module == nullptr; }
 };
 
+// out[i] = a[i] + b[i], the residual add of every serving path in the
+// training path's operand order; callers check their view shapes once.
+inline void residual_add(const float* a, const float* b, float* out,
+                         index_t count) {
+  for (index_t i = 0; i < count; ++i) out[i] = a[i] + b[i];
+}
+
 // Checks the boundary wiring of a flattened stage plan: every stage may
 // only read boundaries already produced, and only residual-add stages
 // carry an addend.  Shared by the pipeline drivers

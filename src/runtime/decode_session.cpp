@@ -714,13 +714,9 @@ void DecodeSession::run_step(const std::vector<index_t>& tokens) {
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const nn::PipelineStage& st = stages_[i];
     if (st.is_add()) {
-      // Residual-add stage: out = in + addend, the exact operand order of
-      // the training path's `main += residual`.
-      const float* a = in_views_[i].data();
-      const float* b = add_views_[i].data();
-      float* o = out_views_[i].data();
-      const index_t count = out_views_[i].numel();
-      for (index_t j = 0; j < count; ++j) o[j] = a[j] + b[j];
+      // Residual-add stage: out = in + addend.
+      nn::residual_add(in_views_[i].data(), add_views_[i].data(),
+                       out_views_[i].data(), out_views_[i].numel());
       if (profiling) mark(i + 1);
       continue;
     }

@@ -412,13 +412,9 @@ void InferenceSession::run_shard(Shard& shard, const float* input) const {
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const nn::PipelineStage& st = stages_[i];
     if (st.is_add()) {
-      // Residual-add stage: out = in + addend, the exact operand order of
-      // the training path's `main += shortcut`.
-      const float* a = shard.in_views[i].data();
-      const float* b = shard.add_views[i].data();
-      float* o = shard.out_views[i].data();
-      const index_t count = shard.out_views[i].numel();
-      for (index_t j = 0; j < count; ++j) o[j] = a[j] + b[j];
+      // Residual-add stage: out = in + addend.
+      nn::residual_add(shard.in_views[i].data(), shard.add_views[i].data(),
+                       shard.out_views[i].data(), shard.out_views[i].numel());
     } else {
       // Scratch lives only within a stage; rewinding here caps the
       // workspace at the per-stage maximum instead of the pipeline sum.

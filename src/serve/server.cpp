@@ -263,6 +263,12 @@ void Server::wait_idle() {
   idle_cv_.wait(lk, [&] { return unresolved_.load() == 0; });
 }
 
+index_t Server::lock_waiters() const {
+  index_t total = 0;
+  for (const auto& shard : shards_) total += shard->waiters.load();
+  return total;
+}
+
 SchedulerStats Server::shard_stats(index_t shard) const {
   QDNN_CHECK(shard >= 0 && shard < shards(),
              "Server: shard " << shard << " outside [0, " << shards()

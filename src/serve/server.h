@@ -119,6 +119,9 @@ class Server {
 
   // Submitted and not yet resolved into a mailbox.
   index_t pending() const { return unresolved_.load(); }
+  // Front-end calls waiting for a shard lock, over all shards; a busy
+  // worker hands its lock to them before its next tick.
+  index_t lock_waiters() const;
   index_t shards() const { return static_cast<index_t>(shards_.size()); }
   ServerStats stats() const;
 

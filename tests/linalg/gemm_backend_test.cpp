@@ -18,6 +18,7 @@
 #include "linalg/gemm.h"
 #include "linalg/gemm_backend.h"
 #include "linalg/packed_weights.h"
+#include "obs/metrics.h"
 
 namespace qdnn::linalg {
 namespace {
@@ -286,13 +287,25 @@ TEST_F(GemmBackendTest, ThreadedBitIdenticalToInlineAndEngages) {
     set_gemm_threads(3);
     set_gemm_thread_min_work(1);  // force the pool for this shape
     const long long before = gemm_threaded_dispatches();
-    std::vector<float> got(static_cast<std::size_t>(m * n), 0.0f);
-    gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-         got.data(), n, nullptr);
+    // The caller claims chunks too and may finish them all before a
+    // worker wakes, so repeat the call until a worker has run a chunk —
+    // every repeat must be bit-identical — and fail if none ever does.
+    const obs::Counter& worker_chunks =
+        obs::MetricsRegistry::global().counter("gemm.worker_chunks");
+    const long long worker_before = worker_chunks.value();
+    int calls = 0;
+    for (; calls < 5000 && worker_chunks.value() == worker_before; ++calls) {
+      std::vector<float> got(static_cast<std::size_t>(m * n), 0.0f);
+      gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+           got.data(), n, nullptr);
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << gemm_backend_name(be) << " i=" << i;
+    }
     EXPECT_GT(gemm_threaded_dispatches(), before)
         << gemm_backend_name(be);
-    for (std::size_t i = 0; i < got.size(); ++i)
-      ASSERT_EQ(got[i], want[i]) << gemm_backend_name(be) << " i=" << i;
+    EXPECT_GT(worker_chunks.value(), worker_before)
+        << gemm_backend_name(be) << ": no worker ran a chunk in " << calls
+        << " sharded calls";
   }
 }
 

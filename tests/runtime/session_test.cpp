@@ -523,6 +523,48 @@ TEST(DecodeSession, TracingOffRecordsNoStageProfile) {
   }
 }
 
+TEST(InferenceSession, StageProfileCoversThePlanPerShard) {
+  // stage_profile() feeds qbench's infer.stage_share.*: one entry per
+  // plan stage, named after its module ("residual_add" for add stages),
+  // one call per stage per shard pass while tracing, none while off.
+  TraceFlagGuard guard;
+  obs::set_trace_enabled(false);
+  models::ResNetConfig rc;
+  rc.depth = 8;
+  rc.num_classes = 4;
+  rc.image_size = 8;
+  rc.base_width = 4;
+  rc.spec = models::NeuronSpec::proposed(3);
+  rc.seed = 13;
+  SessionConfig config;
+  config.sample_shape = Shape{3, 8, 8};
+  config.max_batch = 4;
+  config.num_threads = 2;
+  InferenceSession session(models::make_cifar_resnet(rc), config);
+  const Tensor x = random_tensor(Shape{4, 3, 8, 8}, 15);
+  session.run(x);  // untraced: the warm-up and this pass record nothing
+  for (const obs::StageTiming& st : session.stage_profile())
+    EXPECT_EQ(st.calls, 0) << st.name;
+
+  obs::set_trace_enabled(true);
+  const int runs = 3;
+  for (int i = 0; i < runs; ++i) session.run(x);
+  const auto profile = session.stage_profile();
+  const auto& plan = session.pipeline();
+  ASSERT_EQ(profile.size(), plan.size());
+  int adds = 0;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    adds += plan[i].is_add();
+    EXPECT_EQ(profile[i].name, plan[i].is_add() ? std::string("residual_add")
+                                                : plan[i].module->name())
+        << "stage " << i;
+    EXPECT_EQ(profile[i].calls, runs * session.num_threads())
+        << profile[i].name;
+    EXPECT_GT(profile[i].total_ns, 0) << profile[i].name;
+  }
+  EXPECT_GT(adds, 0) << "the ResNet plan must carry residual-add stages";
+}
+
 TEST(DecodeSession, FreezeShrinksDecodeWatermarkBitIdentically) {
   // Frozen vs unfrozen decode sessions: identical token sequences, but
   // the frozen watermark must have dropped the per-step gemm trans_b

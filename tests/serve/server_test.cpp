@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -454,19 +455,30 @@ TEST(Server, CancelLandsMidDecodeOnABusyShard) {
   ASSERT_GE(solo_len, 8u) << "no long-running decode found";
 
   Server server(raw(replicas), server_config(1, budget));
-  std::atomic<index_t> tokens_seen{0};
+  std::mutex mu;
+  std::condition_variable streamed;
+  bool first_token = false;  // guarded by mu
   Request req;
   req.src_ids = std::move(src);
   req.max_new_tokens = static_cast<index_t>(solo_len);
-  req.on_token = [&](const StreamEvent&) {
-    tokens_seen.fetch_add(1);
-    // The tiny model decodes a token in under a microsecond — faster
-    // than this thread can wake and call cancel().  Stretch each tick so
-    // the cancel provably lands inside the busy period.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  req.on_token = [&](const StreamEvent& ev) {
+    if (ev.index != 0) return;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      first_token = true;
+    }
+    streamed.notify_one();
+    // The tiny model decodes a token faster than the test thread can
+    // wake and call cancel(), so hold this tick (and the shard lock)
+    // until the cancel is queued on the lock: from then on the worker
+    // must hand the lock over at the next tick boundary, mid-decode.
+    while (server.lock_waiters() == 0) std::this_thread::yield();
   };
   const index_t id = server.submit(std::move(req));
-  while (tokens_seen.load() == 0) std::this_thread::yield();
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    streamed.wait(lk, [&] { return first_token; });
+  }
   EXPECT_TRUE(server.cancel(id))
       << "cancel() must interleave with a busy shard, not wait for it";
   server.wait_idle();
