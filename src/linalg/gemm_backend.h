@@ -20,13 +20,13 @@
 // is active.  *Across* backends results differ by FMA reassociation and
 // are compared under tolerance (tests/linalg/gemm_backend_test.cpp).
 //
-// Threading: a small persistent pool in linalg row-shards large gemms
-// (opt-in: threads default to 1; QDNN_GEMM_THREADS=N or
+// Threading: linalg row-shards large gemms across a process-wide
+// core::WorkerPool (opt-in: threads default to 1; QDNN_GEMM_THREADS=N or
 // set_gemm_threads).  A call is sharded only when 2·m·n·k >= the
 // min-work threshold and no GemmSerialScope is active on the calling
-// thread — PrefillPool and InferenceSession shard workers hold one so
-// nested pools never oversubscribe.  Row sharding is bit-identical to
-// the single-threaded kernel by construction (rows are independent).
+// thread (see GemmSerialScope for who holds one).  Row sharding is
+// bit-identical to the single-threaded kernel by construction (rows are
+// independent).
 #pragma once
 
 #include "core/tensor.h"
@@ -60,9 +60,10 @@ void set_gemm_backend(GemmBackend backend);
 // Current worker budget for one gemm call (1 = always inline).
 int gemm_threads();
 
-// Sets the worker budget and eagerly spins up the persistent pool so no
-// thread creation happens inside a steady-state call.  Initial value
-// comes from QDNN_GEMM_THREADS (default 1).
+// Sets the worker budget and eagerly grows the process-wide pool to
+// threads − 1 workers (it never shrinks), so no thread creation happens
+// inside a steady-state call.  Initial value comes from
+// QDNN_GEMM_THREADS (default 1).
 void set_gemm_threads(int threads);
 
 // A call threads only when 2*m*n*k >= this threshold (flops).  Initial
@@ -72,8 +73,8 @@ void set_gemm_thread_min_work(long long flops);
 
 // While alive on a thread, gemm calls from that thread never enter the
 // pool (they run the plain inline kernel).  Held by PrefillPool workers
-// and InferenceSession shard workers: those threads are already one
-// lane of an outer parallelism level.
+// and by every InferenceSession shard part: those are already one lane
+// of an outer parallelism level.
 class GemmSerialScope {
  public:
   GemmSerialScope();

@@ -4,26 +4,23 @@
 // the CPU supports (CPUID) > generic.  Resolved once, cached in an
 // atomic; set_gemm_backend() narrows it for tests and A/B benches.
 //
-// Threading: one persistent process-wide pool (lazily spun up by
-// set_gemm_threads / QDNN_GEMM_THREADS, never inside a steady-state
-// call).  A threaded call copies its job descriptor into the pool,
-// publishes a new generation, and claims row chunks alongside the
-// workers under one mutex — chunk counts are tiny (<= thread budget),
-// so the lock is cold next to the O(m·n·k/threads) kernel work per
-// chunk.  Rows are computed by the identical per-row kernel sequence
-// regardless of which thread runs them, so the sharded result is
-// bit-identical to the inline kernel.  If another thread is mid-job,
-// try_run bails and the caller runs inline (correct either way; no
-// caller ever blocks on a peer's gemm).
+// Threading: run_gemm shards C's rows into at most gemm_threads() chunks
+// and runs them as the parts of one call to a process-wide
+// core::WorkerPool (its workers spawned by set_gemm_threads /
+// QDNN_GEMM_THREADS, never inside a steady-state call); the caller runs
+// chunks alongside the workers.  Rows are computed by the identical
+// per-row kernel sequence whichever thread runs them, so the sharded
+// result is bit-identical to the inline kernel.  If another thread's
+// gemm is mid-job, try_run declines and the caller runs inline (correct
+// either way; no caller ever blocks on a peer's gemm).
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <thread>
-#include <vector>
 
+#include "core/worker_pool.h"
 #include "linalg/gemm_kernels.h"
 #include "obs/metrics.h"
 
@@ -110,7 +107,7 @@ void run_kernel(GemmBackend backend, index_t m, index_t n, index_t k,
 }
 
 // ---------------------------------------------------------------------
-// Persistent pool.
+// Row-sharded path.
 // ---------------------------------------------------------------------
 
 struct GemmJob {
@@ -122,6 +119,8 @@ struct GemmJob {
   detail::BDesc b;
   float* c;
   index_t ldc;
+  index_t chunk;  // rows per part
+  std::thread::id caller;
 };
 
 void run_rows(const GemmJob& j, index_t r0, index_t r1) {
@@ -129,116 +128,20 @@ void run_rows(const GemmJob& j, index_t r0, index_t r1) {
              j.lda, j.b, j.c + r0 * j.ldc, j.ldc);
 }
 
-class GemmPool {
- public:
-  static GemmPool& instance() {
-    static GemmPool pool;
-    return pool;
-  }
+// One WorkerPool part: row chunk `part` of the job at `ctx`.
+void run_chunk(void* ctx, int part) {
+  const GemmJob& j = *static_cast<const GemmJob*>(ctx);
+  const index_t r0 = part * j.chunk;
+  run_rows(j, r0, std::min(j.m, r0 + j.chunk));
+  if (std::this_thread::get_id() != j.caller) g_worker_chunks.inc();
+}
 
-  ~GemmPool() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& w : workers_) w.join();
-  }
-
-  // Spawns workers until `count` exist (never shrinks; surplus workers
-  // idle on the condvar).  Called from set_gemm_threads, so no thread
-  // is ever created inside a steady-state gemm call.
-  void ensure_workers(int count) {
-    std::lock_guard<std::mutex> lk(spawn_mu_);
-    while (static_cast<int>(workers_.size()) < count)
-      workers_.emplace_back([this] { worker_loop(); });
-  }
-
-  // Shards [0, m) across `parts` chunks run by this thread + workers.
-  // Returns false (caller runs inline) when another job is in flight.
-  bool try_run(const GemmJob& job, int parts) {
-    if (!job_mu_.try_lock()) return false;
-    const index_t chunk = (job.m + parts - 1) / parts;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      job_ = job;
-      chunk_ = chunk;
-      nchunks_ = (job.m + chunk - 1) / chunk;
-      next_chunk_ = 0;
-      chunks_done_ = 0;
-      ++gen_;
-    }
-    work_cv_.notify_all();
-    const std::uint64_t my_gen = gen_;
-    index_t c;
-    while (claim(my_gen, c)) {
-      run_rows(job_, c * chunk_, std::min(job_.m, (c + 1) * chunk_));
-      complete();
-    }
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      done_cv_.wait(lk, [&] { return chunks_done_ == nchunks_; });
-      nchunks_ = 0;  // job retired; stale workers can claim nothing
-    }
-    job_mu_.unlock();
-    return true;
-  }
-
- private:
-  void worker_loop() {
-    // Workers are one lane of the pool's parallelism: a nested gemm on
-    // this thread must never re-enter the pool.
-    GemmSerialScope serial;
-    std::uint64_t seen = 0;
-    for (;;) {
-      std::uint64_t my_gen;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        work_cv_.wait(lk, [&] {
-          return stop_ || (gen_ != seen && next_chunk_ < nchunks_);
-        });
-        if (stop_) return;
-        seen = my_gen = gen_;
-      }
-      index_t c;
-      while (claim(my_gen, c)) {
-        run_rows(job_, c * chunk_, std::min(job_.m, (c + 1) * chunk_));
-        g_worker_chunks.inc();  // before complete(): the caller sees it
-        complete();
-      }
-    }
-  }
-
-  // Claims the next chunk of generation `my_gen`; fails once the
-  // generation moved on or every chunk is claimed.  job_/chunk_ reads
-  // outside mu_ are safe: they only mutate under job_mu_ after every
-  // chunk of the previous generation completed.
-  bool claim(std::uint64_t my_gen, index_t& c) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (gen_ != my_gen || next_chunk_ >= nchunks_) return false;
-    c = next_chunk_++;
-    return true;
-  }
-
-  void complete() {
-    bool all;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      all = ++chunks_done_ == nchunks_;
-    }
-    if (all) done_cv_.notify_all();
-  }
-
-  std::mutex job_mu_;  // one job in flight at a time
-  std::mutex spawn_mu_;
-  std::mutex mu_;
-  std::condition_variable work_cv_, done_cv_;
-  std::vector<std::thread> workers_;
-  GemmJob job_{};
-  index_t chunk_ = 0, nchunks_ = 0, next_chunk_ = 0, chunks_done_ = 0;
-  std::uint64_t gen_ = 0;
-  bool stop_ = false;
-};
+// Process-wide, so workers are spawned once (by set_gemm_threads) and
+// never inside a steady-state call.
+core::WorkerPool& gemm_pool() {
+  static core::WorkerPool pool;
+  return pool;
+}
 
 // Reads the env knobs once, before main on most platforms, so the pool
 // exists before any steady-state (allocation-counted) serving loop.
@@ -315,7 +218,7 @@ void set_gemm_threads(int threads) {
   QDNN_CHECK(threads >= 1,
              "set_gemm_threads: threads must be >= 1, got " << threads);
   if (threads > kMaxGemmThreads) threads = kMaxGemmThreads;
-  if (threads > 1) GemmPool::instance().ensure_workers(threads - 1);
+  if (threads > 1) gemm_pool().ensure_workers(threads - 1);
   g_threads.store(threads, std::memory_order_relaxed);
 }
 
@@ -351,10 +254,11 @@ void run_gemm(GemmBackend backend, index_t m, index_t n, index_t k,
   const int threads = g_threads.load(std::memory_order_relaxed);
   if (threads > 1 && t_serial_depth == 0 && m >= 2 &&
       2LL * m * n * k >= g_min_work.load(std::memory_order_relaxed)) {
-    const int parts =
-        static_cast<int>(std::min<index_t>(threads, m));
-    GemmJob job{backend, m, n, k, alpha, a, lda, b, c, ldc};
-    if (parts > 1 && GemmPool::instance().try_run(job, parts)) {
+    const index_t chunk = (m + threads - 1) / threads;
+    const auto parts = static_cast<int>((m + chunk - 1) / chunk);
+    GemmJob job{backend, m, n, k, alpha, a, lda, b, c, ldc, chunk,
+                std::this_thread::get_id()};
+    if (parts > 1 && gemm_pool().try_run(parts, run_chunk, &job)) {
       g_threaded_dispatches.inc();
       return;
     }

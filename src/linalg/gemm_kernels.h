@@ -64,9 +64,9 @@ void axpy_neon(index_t n, float alpha, const float* x, float* y);
 #endif
 
 // Dispatch used by gemm.cpp: runs `backend`'s kernel over C's rows,
-// sharding [0,m) across the persistent pool when the threaded path is
-// enabled and 2*m*n*k clears the min-work threshold.  Expects the
-// degenerate cases (m/n/k == 0, alpha == 0) to be filtered by the
+// sharding [0,m) across the process-wide WorkerPool when the threaded
+// path is enabled and 2*m*n*k clears the min-work threshold.  Expects
+// the degenerate cases (m/n/k == 0, alpha == 0) to be filtered by the
 // caller.
 void run_gemm(GemmBackend backend, index_t m, index_t n, index_t k,
               float alpha, const float* a, index_t lda, const BDesc& b,

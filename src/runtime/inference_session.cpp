@@ -64,69 +64,21 @@ InferenceSession::InferenceSession(nn::ModulePtr model, SessionConfig config)
     shard.stage_calls.assign(stages_.size(), 0);
   }
 
-  // Validate the view plan before spawning workers so constructor errors
-  // cannot leave threads behind.
   bind(config_.max_batch);
-
-  for (index_t r = 1; r < threads; ++r)
-    workers_.emplace_back([this, r] { worker_loop(static_cast<int>(r)); });
+  if (threads > 1)
+    pool_ = std::make_unique<core::WorkerPool>(static_cast<int>(threads) - 1);
 
   if (config_.warmup) {
-    try {
-      // One dummy pass grows each shard's workspace to its watermark;
-      // consolidation then leaves a single contiguous block so real
-      // requests never allocate.
-      Tensor dummy{batch_shape(config_.max_batch)};
-      run_impl(dummy.data(), config_.max_batch);
-      for (Shard& shard : shards_) {
-        shard.ws.reset();
-        shard.ws.consolidate();
-      }
-    } catch (...) {
-      shutdown_workers();
-      throw;
+    // One dummy pass grows each shard's workspace to its watermark;
+    // consolidation then leaves a single contiguous block so real
+    // requests never allocate.
+    Tensor dummy{batch_shape(config_.max_batch)};
+    run_impl(dummy.data(), config_.max_batch);
+    for (Shard& shard : shards_) {
+      shard.ws.reset();
+      shard.ws.consolidate();
     }
   }
-}
-
-InferenceSession::~InferenceSession() { shutdown_workers(); }
-
-void InferenceSession::worker_loop(int shard_index) {
-  // Shard workers already saturate the batch dimension; nesting the
-  // row-sharded gemm pool under them would oversubscribe cores and
-  // perturb the N-shard-vs-solo bit-identity ordering guarantees.
-  linalg::GemmSerialScope serial_gemm;
-  std::uint64_t seen = 0;
-  for (;;) {
-    const float* input = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [&] { return stop_ || job_id_ != seen; });
-      if (stop_) return;
-      seen = job_id_;
-      input = job_input_;
-    }
-    try {
-      run_shard(shards_[static_cast<std::size_t>(shard_index)], input);
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!job_error_) job_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (--pending_ == 0) done_cv_.notify_all();
-    }
-  }
-}
-
-void InferenceSession::shutdown_workers() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
 }
 
 Shape InferenceSession::batch_shape(index_t n) const {
@@ -367,33 +319,17 @@ const ConstTensorView& InferenceSession::run_impl(const float* data,
              "buffer — copy the previous result (to_tensor()) before "
              "feeding it back");
   if (n != bound_n_) bind(n);
-  if (workers_.empty()) {
+  if (!pool_) {
     run_shard(shards_[0], data);
-  } else {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      job_input_ = data;
-      pending_ = static_cast<int>(workers_.size());
-      ++job_id_;
-    }
-    work_cv_.notify_all();
-    // Whatever happens on the main shard, the workers must drain before
-    // this frame unwinds: they hold the caller's batch pointer and the
-    // shared pending_/job bookkeeping.
-    std::exception_ptr main_error;
-    try {
-      run_shard(shards_[0], data);
-    } catch (...) {
-      main_error = std::current_exception();
-    }
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [&] { return pending_ == 0; });
-    std::exception_ptr worker_error = job_error_;
-    job_error_ = nullptr;
-    lk.unlock();
-    if (main_error) std::rethrow_exception(main_error);
-    if (worker_error) std::rethrow_exception(worker_error);
+    return output_view_;
   }
+  auto part = [this, data](int i) {
+    linalg::GemmSerialScope serial_gemm;
+    run_shard(shards_[static_cast<std::size_t>(i)], data);
+  };
+  QDNN_CHECK(pool_->try_run(static_cast<int>(shards_.size()), part),
+             "InferenceSession: run() called from two threads at once — "
+             "a session serves one caller at a time");
   return output_view_;
 }
 

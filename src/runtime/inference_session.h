@@ -32,23 +32,30 @@
 // Changing the batch size re-binds the internal views (a handful of small
 // allocations), then the new size is again allocation-free.
 //
-// num_threads > 1 shards the batch rows across a small persistent thread
-// pool.  This requires every module stage to have a native forward_into
-// (the legacy adapter mutates per-module caches shared by all shards, so
-// the constructor rejects sharded sessions over unmigrated modules) and
-// relies on stages being per-sample independent at inference, which
-// holds for all qdnn layers in eval mode (BatchNorm uses running stats).
-// Results are bit-identical to the single-threaded path.
+// num_threads > 1 splits the batch rows into that many shards and runs
+// them as the parts of one core::WorkerPool call: the session owns a pool
+// of shards − 1 workers, and the calling thread runs shards too.  Any
+// thread may run any shard, and every part runs under a
+// linalg::GemmSerialScope — the shards already saturate the batch
+// dimension, so a nested row-sharded gemm would only oversubscribe
+// cores.  Sharding requires every module stage to have a native
+// forward_into (the legacy adapter mutates per-module caches shared by
+// all shards, so the constructor rejects sharded sessions over
+// unmigrated modules) and relies on stages being per-sample independent
+// at inference, which holds for all qdnn layers in eval mode (BatchNorm
+// uses running stats).  Results are bit-identical to the single-shard
+// path, which builds no pool and takes no lock.
 //
 // Thread-safety: run() is synchronous and not reentrant; drive one
-// session per serving thread or serialize callers.
+// session per serving thread or serialize callers.  A sharded session
+// whose run() finds another run() mid-flight fails a QDNN_CHECK instead
+// of racing it (a best-effort guard, not a lock).
 #pragma once
 
-#include <condition_variable>
-#include <mutex>
-#include <thread>
+#include <memory>
 #include <vector>
 
+#include "core/worker_pool.h"
 #include "core/workspace.h"
 #include "nn/module.h"
 #include "obs/profile.h"
@@ -62,7 +69,7 @@ struct SessionConfig {
   // Largest batch run() will be asked to serve (activation buffers are
   // sized for it).
   index_t max_batch = 1;
-  // 1 runs inline; >1 shards batch rows across a persistent pool.
+  // 1 runs inline; >1 shards batch rows across a session-owned pool.
   int num_threads = 1;
   // Run one dummy pass at construction so the workspace watermark is
   // discovered (and consolidated) before the first real request.
@@ -76,7 +83,6 @@ struct SessionConfig {
 class InferenceSession {
  public:
   InferenceSession(nn::ModulePtr model, SessionConfig config);
-  ~InferenceSession();
 
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;
@@ -120,11 +126,12 @@ class InferenceSession {
 
  private:
   // One contiguous row-range of the batch, processed end-to-end by one
-  // thread.  Intermediate boundaries live in the shard's private
-  // liveness-planned buffers (shards are not stage-synchronized, so
-  // sharing them would race); only the final stage writes the shared
-  // output buffer, at this shard's disjoint row slice.  Views over the
-  // pipeline input are re-pointed at the caller's data every run.
+  // pool part, on whichever thread claims it.  Intermediate boundaries
+  // live in the shard's private liveness-planned buffers (shards are not
+  // stage-synchronized, so sharing them would race); only the final
+  // stage writes the shared output buffer, at this shard's disjoint row
+  // slice.  Views over the pipeline input are re-pointed at the caller's
+  // data every run.
   struct Shard {
     index_t row_begin = 0;
     index_t rows = 0;
@@ -133,8 +140,9 @@ class InferenceSession {
     std::vector<ConstTensorView> add_views;  // per stage (add stages only)
     std::vector<TensorView> out_views;       // per stage
     Workspace ws;
-    // Stage profiling accumulators, one per stage, written only by this
-    // shard's thread while tracing is enabled (stage_profile() sums them).
+    // Stage profiling accumulators, one per stage, written only by the
+    // part running this shard while tracing is enabled (stage_profile()
+    // sums them).
     std::vector<long long> stage_ns;
     std::vector<long long> stage_calls;
   };
@@ -146,8 +154,6 @@ class InferenceSession {
   const ConstTensorView& run_impl(const float* data, index_t n);
   void check_input_shape(const Shape& shape) const;
   Shape batch_shape(index_t n) const;
-  void worker_loop(int shard_index);
-  void shutdown_workers();
 
   nn::ModulePtr model_;
   SessionConfig config_;
@@ -169,16 +175,9 @@ class InferenceSession {
   std::vector<Shard> shards_;
   ConstTensorView output_view_;
   index_t bound_n_ = 0;
-
-  // Persistent worker pool (empty when num_threads == 1).
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_, done_cv_;
-  std::uint64_t job_id_ = 0;
-  int pending_ = 0;
-  bool stop_ = false;
-  const float* job_input_ = nullptr;
-  std::exception_ptr job_error_;
+  // Runs the shards (null with one shard).  Declared last so its workers
+  // are joined before the shards they run are destroyed.
+  std::unique_ptr<core::WorkerPool> pool_;
 };
 
 }  // namespace qdnn::runtime

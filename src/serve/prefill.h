@@ -14,12 +14,12 @@
 //     The scheduler feeds the pool in priority/aging order and keeps at
 //     most `slots` jobs inside it, so a later high-priority submit can
 //     still overtake everything waiting in the scheduler's own queue.
-//   * Worker threads — the same persistent mutex/condvar pool idiom as
-//     runtime::InferenceSession's batch sharding — pop jobs, claim a
-//     preallocated runtime::PrefillStaging slot, and run the expensive
-//     half, DecodeSession::prime_compute: the masked native encoder pass
-//     plus every layer's cross-K/V projection, all computed from and
-//     written into the worker's exclusively-held staging slot.
+//   * Worker threads (a bounded job queue, not a fork-join, so not a
+//     core::WorkerPool; each holds a linalg::GemmSerialScope) pop jobs,
+//     claim a preallocated runtime::PrefillStaging slot, and run the
+//     expensive half, DecodeSession::prime_compute: the masked native
+//     encoder pass plus every layer's cross-K/V projection, all computed
+//     from and written into the worker's exclusively-held staging slot.
 //     prime_compute touches no session or model mutable state (stateless
 //     kernels over frozen weights), so N workers scale the prefill
 //     throughput across N cores — no mutex, no serialization — while the

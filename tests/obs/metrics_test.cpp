@@ -1,8 +1,8 @@
 // Observability subsystem unit tests: registry get-or-create semantics,
 // exporter formats, histogram bucketing, exact totals under concurrent
 // hammering (the wait-free recording contract, TSan-audited in CI), the
-// trace ring's seqlock snapshot under wrap and concurrency, and the
-// disabled-path overhead bound.
+// trace ring's seqlock snapshot under wrap and concurrency, one distinct
+// name per trace event, and the disabled-path overhead bound.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -166,6 +167,22 @@ TEST(TraceRing, RecordsInOrderAndNamesEvents) {
   EXPECT_STREQ(trace_event_name(TraceEvent::kSubmit), "submit");
   EXPECT_STREQ(trace_event_name(TraceEvent::kFirstToken), "first_token");
   EXPECT_STREQ(trace_event_name(TraceEvent::kShed), "shed");
+}
+
+TEST(TraceEvent, EveryValueHasItsOwnName) {
+  // The names label every exported timeline, so two events sharing a
+  // name, or one falling through to "unknown", would mislabel records.
+  // kPreempt is the last enumerator; the values are dense from 0.
+  constexpr int kEvents = static_cast<int>(TraceEvent::kPreempt) + 1;
+  std::set<std::string> names;
+  for (int i = 0; i < kEvents; ++i) {
+    const std::string name = trace_event_name(static_cast<TraceEvent>(i));
+    EXPECT_NE(name, "unknown") << "event " << i;
+    EXPECT_FALSE(name.empty()) << "event " << i;
+    EXPECT_TRUE(names.insert(name).second)
+        << "event " << i << " reuses the name \"" << name << "\"";
+  }
+  EXPECT_EQ(static_cast<int>(names.size()), kEvents);
 }
 
 TEST(TraceRing, DisabledRecordIsANoOp) {

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <new>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
+#include "alloc_counter.h"
 #include "decode_test_util.h"
 #include "linalg/gemm_backend.h"
 #include "models/resnet.h"
@@ -30,52 +32,6 @@
 #include "nn/softmax.h"
 #include "quadratic/quad_conv.h"
 #include "quadratic/quad_dense.h"
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every operator new in the process bumps a counter.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_live_allocs{0};
-}  // namespace
-
-// GCC flags malloc-backed replacement allocators as mismatched pairs even
-// though replacing all eight signatures together is well-defined.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (!p) throw std::bad_alloc();
-  g_live_allocs.fetch_add(1, std::memory_order_relaxed);
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-// C++17 aligned forms too, so over-aligned allocations (e.g. future
-// SIMD-aligned packs) cannot slip past the zero-allocation assertion.
-void* operator new(std::size_t size, std::align_val_t align) {
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) /
-                                   static_cast<std::size_t>(align) *
-                                   static_cast<std::size_t>(align));
-  if (!p) throw std::bad_alloc();
-  g_live_allocs.fetch_add(1, std::memory_order_relaxed);
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#pragma GCC diagnostic pop
 
 namespace qdnn::runtime {
 namespace {
@@ -249,6 +205,67 @@ TEST(InferenceSession, RejectsShardingOverLegacyAdaptedStages) {
   EXPECT_FALSE(session.fully_native());
   const Tensor x = random_tensor(Shape{2, 1, 4, 4}, 60);
   EXPECT_EQ(session.run(x).shape(), Shape({2, 1, 2, 2}));
+}
+
+// An identity stage whose first forward_into after arm() parks until
+// release(), so a test can hold a session's run() mid-flight.
+class ParkingIdentity : public nn::Module {
+ public:
+  Tensor forward(const Tensor& input) override { return input; }
+  Tensor backward(const Tensor& grad) override { return grad; }
+  bool supports_forward_into() const override { return true; }
+  void forward_into(const ConstTensorView& input, const TensorView& output,
+                    Workspace&) override {
+    std::copy(input.data(), input.data() + input.numel(), output.data());
+    if (!armed_.exchange(false)) return;
+    std::unique_lock<std::mutex> lk(mu_);
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lk, [&] { return released_; });
+  }
+  std::string name() const override { return "parking_identity"; }
+
+  void arm() { armed_ = true; }
+  void wait_parked() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return parked_; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false, released_ = false;  // guarded by mu_
+};
+
+TEST(InferenceSession, ConcurrentRunOnAShardedSessionFailsACheck) {
+  // run() serves one caller at a time.  A sharded session that finds its
+  // pool busy reports the second caller instead of racing it on the
+  // shards' buffers.
+  auto owned = std::make_unique<ParkingIdentity>();
+  ParkingIdentity* stage = owned.get();
+  InferenceSession session(std::move(owned), dense_config(4, 4, 2));
+  const Tensor x = random_tensor(Shape{4, 4}, 9);
+  stage->arm();
+  std::thread first([&] { session.run(x); });
+  stage->wait_parked();
+  try {
+    session.run(x);
+    ADD_FAILURE() << "a concurrent run() went through";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("two threads"), std::string::npos)
+        << e.what();
+  }
+  stage->release();
+  first.join();
+  EXPECT_EQ(view_max_abs_diff(session.run(x), ConstTensorView(x)), 0.0f);
 }
 
 TEST(InferenceSession, ServesVariableBatchSizesUpToMax) {

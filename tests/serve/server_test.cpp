@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -82,6 +81,55 @@ std::vector<Case> make_cases(Transformer& model, index_t count,
   }
   return cases;
 }
+
+// Keeps the shards busy without sleeping: an on_token hook that parks
+// the streaming shard worker — holding its shard lock, mid-tick — while
+// the gate is closed.  A parked worker finishes its tick only once a
+// front-end call is queued on a shard lock (Server::lock_waiters()), and
+// each shard gets at most one such tick per front-end call, so no shard
+// runs ahead of the thread driving the burst.  Announce every front-end
+// call made while the gate is closed with front_call(); open() releases
+// every worker for good.
+class TickGate {
+ public:
+  explicit TickGate(const Server& server)
+      : server_(server),
+        passed_tick_(static_cast<std::size_t>(server.shards()), -1),
+        passed_call_(static_cast<std::size_t>(server.shards()), 0) {}
+
+  void front_call() { calls_.fetch_add(1); }
+
+  void open() {
+    std::lock_guard<std::mutex> lk(mu_);
+    open_ = true;
+  }
+
+  void hold(const StreamEvent& ev) {
+    const auto shard = static_cast<std::size_t>(ev.id % server_.shards());
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        // Every row of a tick that was let through streams freely.
+        if (open_ || ev.tick == passed_tick_[shard]) return;
+        const index_t calls = calls_.load();
+        if (server_.lock_waiters() > 0 && calls > passed_call_[shard]) {
+          passed_tick_[shard] = ev.tick;
+          passed_call_[shard] = calls;
+          return;
+        }
+      }
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  const Server& server_;
+  std::atomic<index_t> calls_{0};
+  std::mutex mu_;
+  bool open_ = false;                // guarded by mu_
+  std::vector<index_t> passed_tick_;  // guarded by mu_
+  std::vector<index_t> passed_call_;  // guarded by mu_
+};
 
 TEST(Server, SingleShardMatchesSoloReferences) {
   auto replicas = make_replicas(1);
@@ -247,12 +295,12 @@ TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
   // amid 4-token ones (head-of-line blockers for both shards' prefill
   // workers), priorities are random and some requests carry a tight
   // deadline.  Submits into two two-row, three-deep shards outrun the
-  // workers' ticks by orders of magnitude, so much of the burst
+  // workers' ticks — a TickGate lets each shard stream at most one tick
+  // per front-end call until the storm is over — so much of the burst
   // load-sheds; a cancel storm follows.  Every id must resolve exactly
-  // once, and whatever was served must agree with the solo decode.  Each
-  // streamed token stretches its tick, so an admitted request holds its
-  // row for milliseconds: the shed no longer hinges on the submitting
-  // thread never being descheduled mid-burst.
+  // once, and whatever was served must agree with the solo decode.  The
+  // shed does not hinge on the submitting thread never being descheduled
+  // mid-burst: a descheduled driver stalls the shards with it.
   auto replicas = make_replicas(2);
   const index_t max_steps = 8;
   const index_t max_src = tiny_transformer_config().max_len;
@@ -282,6 +330,7 @@ TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
   config.shard.max_queue = 3;
   config.shard.prefill_workers = 1;
   Server server(raw(replicas), config);
+  TickGate gate(server);
   std::map<index_t, std::size_t> id_to_entry;
   std::vector<index_t> ids;
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -290,9 +339,8 @@ TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
     req.max_new_tokens = entries[i].budget;
     req.priority = entries[i].priority;
     req.deadline_tick = entries[i].deadline_tick;
-    req.on_token = [](const StreamEvent&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    };
+    req.on_token = [&gate](const StreamEvent& ev) { gate.hold(ev); };
+    gate.front_call();
     const index_t id = server.submit(std::move(req));
     id_to_entry[id] = i;
     ids.push_back(id);
@@ -302,9 +350,12 @@ TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
   // double-cancel that must be a no-op.
   index_t cancel_hits = 0;
   for (std::size_t i = 0; i < ids.size(); i += 3) {
+    gate.front_call();
     if (server.cancel(ids[i])) ++cancel_hits;
+    gate.front_call();
     EXPECT_FALSE(server.cancel(ids[i])) << "double-cancel of id " << ids[i];
   }
+  gate.open();
   server.wait_idle();  // a deadlock or a leaked row hangs right here
 
   auto results = server.take_results();
@@ -354,22 +405,24 @@ TEST(Server, StatsTotalsRollUpAcrossShards) {
   // sum, mean_occupancy and tick_mean_ms are weighted by each shard's
   // stepped ticks, and tick_p99_ms is the worst shard's.  JSQ sends
   // the first request to shard 0 and the short second one to shard 1;
-  // the third, submitted while both still decode (each token sleeps),
-  // ties and joins shard 0.  The shards then step different tick counts
-  // at different occupancies, so an unweighted mean would not match.
+  // the third, submitted while both still decode (a TickGate holds their
+  // tokens), ties and joins shard 0.  The shards then step different
+  // tick counts at different occupancies, so an unweighted mean would
+  // not match.
   auto replicas = make_replicas(2);
   const index_t max_steps = 10;
   Server server(raw(replicas), server_config(2, max_steps));
+  TickGate gate(server);
   const index_t budgets[] = {max_steps, 2, max_steps};
   for (std::uint64_t i = 0; i < 3; ++i) {
     Request req;
     req.src_ids = random_src_ids(1, 5, 20, 540 + i);
     req.max_new_tokens = budgets[i];
-    req.on_token = [](const StreamEvent&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    };
+    req.on_token = [&gate](const StreamEvent& ev) { gate.hold(ev); };
+    gate.front_call();
     server.submit(std::move(req));
   }
+  gate.open();
   server.wait_idle();
   EXPECT_EQ(server.take_results().size(), 3u);
 
