@@ -66,6 +66,16 @@ class Shape {
   }
   bool operator!=(const Shape& other) const { return !(*this == other); }
 
+  // This shape with extent i set to `extent` — how drivers re-slice a
+  // boundary to a new batch without touching the heap.
+  Shape with_dim(index_t i, index_t extent) const {
+    QDNN_CHECK(i >= 0 && i < rank() && extent >= 0,
+               "with_dim(" << i << ", " << extent << ") on rank-" << rank());
+    Shape out = *this;
+    out.dims_[static_cast<std::size_t>(i)] = extent;
+    return out;
+  }
+
   // Row-major strides (in elements, not bytes).
   std::vector<index_t> strides() const {
     std::vector<index_t> s(static_cast<std::size_t>(rank_), 1);

@@ -285,24 +285,12 @@ bool MultiHeadAttention::supports_forward_into() const {
 void MultiHeadAttention::forward_into(const ConstTensorView& input,
                                       const TensorView& output,
                                       Workspace& ws) {
-  self_forward_into(input, output, /*kv_lengths=*/nullptr, ws);
-}
-
-void MultiHeadAttention::self_forward_into(const ConstTensorView& input,
-                                           const TensorView& output,
-                                           const index_t* kv_lengths,
-                                           Workspace& ws) {
   QDNN_CHECK(input.rank() == 3 && input.dim(2) == d_model_,
              name_ << ": expected [N, T, " << d_model_ << "]");
   QDNN_CHECK(output.shape() == input.shape(),
              name_ << ": bad output view " << output.shape());
   const index_t n = input.dim(0), t = input.dim(1);
   const index_t nt = n * t;
-  if (kv_lengths != nullptr)
-    for (index_t s = 0; s < n; ++s)
-      QDNN_CHECK(kv_lengths[s] >= 1 && kv_lengths[s] <= t,
-                 name_ << ": kv_lengths[" << s << "] = " << kv_lengths[s]
-                       << " outside [1, " << t << "]");
 
   // Projections, scores and context all live in the workspace; the
   // training caches (q_, k_, v_, attn_) are never touched, so concurrent
@@ -319,7 +307,7 @@ void MultiHeadAttention::self_forward_into(const ConstTensorView& input,
   float* context = ws.alloc(nt * proj_dim_);
   for (index_t i = 0; i < nt * proj_dim_; ++i) context[i] = 0.0f;
   attention_forward(q, k, v, n, n_heads_, t, t, /*kv_stride=*/t, proj_dim_,
-                    head_dim_, /*causal=*/false, kv_lengths,
+                    head_dim_, /*causal=*/false, /*kv_lengths=*/nullptr,
                     /*kv_len_bias=*/0, attn, context);
 
   wo_->forward_into(ConstTensorView(Shape{nt, proj_dim_}, context),

@@ -17,7 +17,11 @@
 // encoder serving stage.  forward_into is native (projections, scores and
 // context all live in the workspace) so a flattened encoder pipeline runs
 // allocation-free; the score/softmax/context kernel is shared with the
-// training forward so the two paths cannot drift.
+// training forward so the two paths cannot drift.  Serving never masks
+// this stage: prefill encodes only a source's valid prefix, and a row
+// whose padded keys are masked is bit-identical to the same row encoded
+// at the valid length (the exact-zero weights below), so the valid rows
+// of a padded training-path batch are reproduced exactly.
 //
 // The incremental (KV-cached) decoding API serves autoregressive steps:
 // self_attend_step projects one new token per sample, appends its K/V
@@ -89,19 +93,11 @@ class MultiHeadAttention : public nn::Module {
   Tensor backward(const Tensor& grad_output) override;
   Shape output_shape(const Shape& input_shape) const override;
   bool supports_forward_into() const override;
+  // Full-length self-attention on [N, T, D], entirely from `ws` (never
+  // touches the training caches), so concurrent calls against one module
+  // are safe.
   void forward_into(const ConstTensorView& input, const TensorView& output,
                     Workspace& ws) override;
-
-  // Key-padding-masked native self-attention on [N, T, D].
-  // kv_lengths[s] = number of valid (non-pad) key positions for sample s,
-  // each in [1, T] (null: all T valid).  Masked tails score -1e30 →
-  // exact-zero softmax weights, so each row is bit-identical to the
-  // training forward() on the same ragged batch.  Runs entirely from `ws`
-  // (never touches the training caches), so concurrent calls against one
-  // module are safe.  forward_into delegates here with kv_lengths = null.
-  void self_forward_into(const ConstTensorView& input,
-                         const TensorView& output,
-                         const index_t* kv_lengths, Workspace& ws);
 
   void freeze() override;
   void unfreeze() override;

@@ -20,20 +20,6 @@ Shape FeedForward::output_shape(const Shape& input_shape) const {
   return fc2_.output_shape(relu_.output_shape(fc1_.output_shape(input_shape)));
 }
 
-bool FeedForward::supports_forward_into() const {
-  return fc1_.supports_forward_into() && relu_.supports_forward_into() &&
-         fc2_.supports_forward_into();
-}
-
-void FeedForward::forward_into(const ConstTensorView& input,
-                               const TensorView& output, Workspace& ws) {
-  const TensorView h = ws.take(fc1_.output_shape(input.shape()));
-  fc1_.forward_into(input, h, ws);
-  const TensorView a = ws.take(h.shape());
-  relu_.forward_into(h, a, ws);
-  fc2_.forward_into(a, output, ws);
-}
-
 void FeedForward::flatten_into(std::vector<nn::PipelineStage>& stages) {
   fc1_.flatten_into(stages);
   relu_.flatten_into(stages);

@@ -14,14 +14,8 @@ class FeedForward : public nn::Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   Shape output_shape(const Shape& input_shape) const override;
-  // v2: runs fc1 → relu → fc2 with the [·, d_ff] intermediates drawn from
-  // the workspace — the monolithic twin of the flattened stage plan, used
-  // by DecoderLayer::forward_into.
-  bool supports_forward_into() const override;
-  void forward_into(const ConstTensorView& input, const TensorView& output,
-                    Workspace& ws) override;
-  // The block flattens to fc1 → relu → fc2, all native, so a pipeline
-  // driver serves it layer-by-layer.
+  // The block flattens to fc1 → relu → fc2, all native — its only
+  // serving face: a stage driver serves it layer-by-layer.
   void flatten_into(std::vector<nn::PipelineStage>& stages) override;
   void freeze() override;
   void unfreeze() override;

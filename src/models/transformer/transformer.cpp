@@ -67,42 +67,6 @@ Shape EncoderLayer::output_shape(const Shape& input_shape) const {
   return input_shape;
 }
 
-bool EncoderLayer::supports_forward_into() const {
-  return self_attn_.supports_forward_into() && ffn_.supports_forward_into();
-}
-
-void EncoderLayer::forward_into(const ConstTensorView& input,
-                                const TensorView& output, Workspace& ws) {
-  forward_masked_into(input, output, /*lengths=*/nullptr, ws);
-}
-
-void EncoderLayer::forward_masked_into(const ConstTensorView& input,
-                                       const TensorView& output,
-                                       const index_t* lengths,
-                                       Workspace& ws) {
-  // The monolithic twin of the flatten_into stage plan plus per-sample
-  // key-padding masks — same kernels, same operation order as the
-  // training forward (dropout is identity in eval mode).
-  QDNN_CHECK(input.rank() == 3 && input.dim(2) == d_model_,
-             name_ << ": expected [N, T, " << d_model_ << "]");
-  QDNN_CHECK(output.shape() == input.shape(),
-             name_ << ": bad output view " << output.shape());
-  const index_t count = input.numel();
-
-  const TensorView a = ws.take(input.shape());
-  self_attn_.self_forward_into(input, a, lengths, ws);
-  const TensorView r1 = ws.take(input.shape());
-  nn::residual_add(a.data(), input.data(), r1.data(), count);
-  const TensorView x1 = ws.take(input.shape());
-  ln1_.forward_into(r1, x1, ws);
-
-  const TensorView f = ws.take(input.shape());
-  ffn_.forward_into(x1, f, ws);
-  const TensorView r2 = ws.take(input.shape());
-  nn::residual_add(f.data(), x1.data(), r2.data(), count);
-  ln2_.forward_into(r2, output, ws);
-}
-
 void EncoderLayer::flatten_into(std::vector<nn::PipelineStage>& stages) {
   // Stage plan over [N, T, D] boundaries, mirroring forward() exactly
   // (dropout stages are omitted: identity in eval mode):
@@ -225,52 +189,6 @@ Tensor DecoderLayer::backward(const Tensor&) {
   QDNN_CHECK(false, name_ << ": use backward_dual (returns {grad_y, "
                              "grad_enc_out})");
   return {};
-}
-
-Shape DecoderLayer::output_shape(const Shape& input_shape) const {
-  QDNN_CHECK(input_shape.rank() == 2 && input_shape[1] == d_model_,
-             name_ << ": expected [N, " << d_model_ << "] step input");
-  return input_shape;
-}
-
-bool DecoderLayer::supports_forward_into() const {
-  return self_attn_.supports_forward_into() &&
-         cross_attn_.supports_forward_into() &&
-         ffn_.supports_forward_into();
-}
-
-void DecoderLayer::forward_into(const ConstTensorView& input,
-                                const TensorView& output, Workspace& ws) {
-  // One KV-cached decode step on [N, D] — the monolithic twin of the
-  // flatten_into stage plan (same kernels, same operation order as the
-  // teacher-forced forward; dropout is identity in eval mode).
-  QDNN_CHECK(input.rank() == 2 && input.dim(1) == d_model_,
-             name_ << ": expected [N, " << d_model_ << "] step input");
-  QDNN_CHECK(output.shape() == input.shape(),
-             name_ << ": bad output view " << output.shape());
-  const index_t n = input.dim(0);
-  const Shape row_shape{n, d_model_};
-  const index_t count = n * d_model_;
-
-  const TensorView a = ws.take(row_shape);
-  self_step_.forward_into(input, a, ws);
-  const TensorView r1 = ws.take(row_shape);
-  nn::residual_add(a.data(), input.data(), r1.data(), count);
-  const TensorView y1 = ws.take(row_shape);
-  ln1_.forward_into(r1, y1, ws);
-
-  const TensorView c = ws.take(row_shape);
-  cross_step_.forward_into(y1, c, ws);
-  const TensorView r2 = ws.take(row_shape);
-  nn::residual_add(c.data(), y1.data(), r2.data(), count);
-  const TensorView y2 = ws.take(row_shape);
-  ln2_.forward_into(r2, y2, ws);
-
-  const TensorView f = ws.take(row_shape);
-  ffn_.forward_into(y2, f, ws);
-  const TensorView r3 = ws.take(row_shape);
-  nn::residual_add(f.data(), y2.data(), r3.data(), count);
-  ln3_.forward_into(r3, output, ws);
 }
 
 void DecoderLayer::flatten_into(std::vector<nn::PipelineStage>& stages) {
@@ -602,49 +520,6 @@ Shape TransformerEncoder::output_shape(const Shape& input_shape) const {
              name() << ": sequence length " << input_shape[1]
                     << " exceeds max_len " << model_->config().max_len);
   return Shape{input_shape[0], input_shape[1], model_->config().d_model};
-}
-
-bool TransformerEncoder::supports_forward_into() const {
-  for (index_t l = 0; l < model_->num_encoder_layers(); ++l)
-    if (!model_->encoder_layer(l).supports_forward_into()) return false;
-  return true;
-}
-
-void TransformerEncoder::forward_into(const ConstTensorView& input,
-                                      const TensorView& output,
-                                      Workspace& ws) {
-  encode_into(input, output, /*src_lengths=*/nullptr, ws);
-}
-
-void TransformerEncoder::encode_into(const ConstTensorView& src_ids,
-                                     const TensorView& output,
-                                     const index_t* src_lengths,
-                                     Workspace& ws) {
-  QDNN_CHECK_EQ(src_ids.rank(), 2, name() << ": expected [N, T] ids");
-  const index_t n = src_ids.dim(0), t = src_ids.dim(1);
-  QDNN_CHECK(t <= model_->config().max_len,
-             name() << ": sequence length " << t << " exceeds max_len "
-                    << model_->config().max_len);
-  const Shape act_shape{n, t, model_->config().d_model};
-  QDNN_CHECK(output.shape() == act_shape,
-             name() << ": bad output view " << output.shape());
-
-  // embed → scale+positional → masked block per layer, every activation
-  // in the caller's workspace.  The last layer writes `output` directly.
-  const index_t layers = model_->num_encoder_layers();
-  const TensorView embedded =
-      layers == 0 ? output : ws.take(act_shape);
-  {
-    const TensorView raw = ws.take(act_shape);
-    model_->src_embedding().forward_into(src_ids, raw, ws);
-    scale_pos_.forward_into(raw, embedded, ws);
-  }
-  ConstTensorView cur(embedded.shape(), embedded.data());
-  for (index_t l = 0; l < layers; ++l) {
-    const TensorView dst = l + 1 == layers ? output : ws.take(act_shape);
-    model_->encoder_layer(l).forward_masked_into(cur, dst, src_lengths, ws);
-    cur = ConstTensorView(dst.shape(), dst.data());
-  }
 }
 
 void TransformerEncoder::flatten_into(std::vector<nn::PipelineStage>& stages) {

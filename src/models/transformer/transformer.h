@@ -40,11 +40,12 @@ struct TransformerConfig {
 // One pre-norm-free encoder block: self-attn (+res, LN), FFN (+res, LN).
 //
 // Also a Module: the single-Tensor overrides run the block on [N, T, D]
-// with full-length (unpadded) attention — the serving layout — and
-// flatten_into exposes the block as primitive stages (attention,
-// residual-add, LayerNorm, FFN sublayers) so runtime::InferenceSession
-// serves the encoder layer-by-layer with native kernels.  Dropout is
-// skipped in the flattened pipeline: it is exactly identity in eval mode.
+// with full-length (unpadded) attention, and flatten_into exposes the
+// block as primitive stages (attention, residual-add, LayerNorm, FFN
+// sublayers) — its only serving face: every driver (InferenceSession,
+// prefill in DecodeSession) runs those stages on a runtime::StageLane
+// with native kernels.  Dropout is skipped in the flattened pipeline: it
+// is exactly identity in eval mode.
 class EncoderLayer : public nn::Module {
  public:
   EncoderLayer(const TransformerConfig& config, Rng& rng, std::string name);
@@ -53,26 +54,11 @@ class EncoderLayer : public nn::Module {
   Tensor forward(const Tensor& x, index_t n, index_t t,
                  const std::vector<index_t>& lengths);
 
-  // Module API.  forward accepts [N, T, D] (serving) or the gradient
-  // layout matching the last forward for backward.
+  // Module API.  forward accepts [N, T, D] or the gradient layout
+  // matching the last forward for backward.
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad) override;
   Shape output_shape(const Shape& input_shape) const override;
-  bool supports_forward_into() const override;
-  void forward_into(const ConstTensorView& input, const TensorView& output,
-                    Workspace& ws) override;
-
-  // Key-padding-masked native block on [N, T, D] — the monolithic twin of
-  // the flatten_into stage plan plus per-sample masking: masked self-attn
-  // (+res, LN), FFN (+res, LN), same operation order as the training
-  // forward (dropout is identity in eval mode), bit-identical to it on
-  // the same ragged batch.  lengths[s] ∈ [1, T] counts sample s's valid
-  // source positions (null: all T valid).  All scratch comes from `ws`
-  // and no member state is written, so concurrent calls are safe.
-  void forward_masked_into(const ConstTensorView& input,
-                           const TensorView& output, const index_t* lengths,
-                           Workspace& ws);
-
   void flatten_into(std::vector<nn::PipelineStage>& stages) override;
   void freeze() override;
   void unfreeze() override;
@@ -97,13 +83,13 @@ class EncoderLayer : public nn::Module {
 // encoder output (+res, LN), FFN (+res, LN).
 //
 // Also a Module — the serving face of the block is the *decode step*:
-// forward_into maps the new token's activations [N, D] through the whole
-// block against session-bound KV caches (causal masking is implicit in
-// the self-attention cache length), and flatten_into exposes the step as
-// primitive stages (attention steps, residual-adds, LayerNorms, FFN
-// sublayers) so runtime::DecodeSession drives it with the PR 2 stage
-// kernels.  The single-Tensor forward is a checked error (the block needs
-// the encoder context); training flows through the multi-arg overloads.
+// flatten_into exposes one KV-cached step on the new token's
+// activations [N, D] as primitive stages (attention steps against
+// session-bound KV caches — causal masking is implicit in the
+// self-attention cache length — residual-adds, LayerNorms, FFN
+// sublayers), which runtime::DecodeSession runs on its step lane.  The
+// single-Tensor forward is a checked error (the block needs the encoder
+// context); training flows through the multi-arg overloads.
 class DecoderLayer : public nn::Module {
  public:
   DecoderLayer(const TransformerConfig& config, Rng& rng, std::string name);
@@ -117,14 +103,9 @@ class DecoderLayer : public nn::Module {
   std::pair<Tensor, Tensor> backward_dual(const Tensor& grad);
 
   // Module API.  forward/backward are checked errors (two-input layer);
-  // forward_into runs one KV-cached decode step on [N, D] and requires
-  // the attention steps to be bound by a DecodeSession.
+  // the step stages need their attention steps bound by a DecodeSession.
   Tensor forward(const Tensor&) override;
   Tensor backward(const Tensor&) override;
-  Shape output_shape(const Shape& input_shape) const override;
-  bool supports_forward_into() const override;
-  void forward_into(const ConstTensorView& input, const TensorView& output,
-                    Workspace& ws) override;
   void flatten_into(std::vector<nn::PipelineStage>& stages) override;
   void freeze() override;
   void unfreeze() override;
@@ -248,10 +229,14 @@ class Transformer {
 // mapping src ids [N, T] → encoder output [N, T, D], whose flatten_into
 // yields the native stage pipeline
 //   embed → scale+positional → (attention, +res, LN, FFN, +res, LN)ᴸ
-// so an InferenceSession serves the encoder layer-by-layer,
-// allocation-free, bit-identical to Transformer::encode with full-length
-// (unpadded) sequences.  Non-owning: the Transformer must outlive the
-// facade and any session holding it.
+// so a stage driver serves the encoder layer-by-layer, allocation-free,
+// bit-identical to Transformer::encode with full-length (unpadded)
+// sequences: an InferenceSession over the facade, and every
+// DecodeSession prefill, which runs the plan over a source's valid
+// prefix — padded keys get exact-zero softmax weights, so those rows
+// equal Transformer::encode's valid rows on the padded batch.
+// Non-owning: the Transformer must outlive the facade and any session
+// holding it.
 class TransformerEncoder : public nn::Module {
  public:
   explicit TransformerEncoder(Transformer& model);
@@ -259,25 +244,6 @@ class TransformerEncoder : public nn::Module {
   Tensor forward(const Tensor& src_ids) override;  // [N, T] → [N, T, D]
   Tensor backward(const Tensor& grad_output) override;  // checked error
   Shape output_shape(const Shape& input_shape) const override;
-  bool supports_forward_into() const override;
-  void forward_into(const ConstTensorView& input, const TensorView& output,
-                    Workspace& ws) override;
-
-  // Masked native encoder pass: src ids [N, T] → encoder output
-  // [N, T, D], entirely through forward_into stages (embed →
-  // scale+positional → masked block per layer) against the caller's
-  // workspace — no Tensor allocations, no module caches, no shared
-  // mutable state, so concurrent calls against one Transformer are safe
-  // (each caller brings its own `ws`).  src_lengths[s] ∈ [1, T] counts
-  // sample s's valid source positions (null: all T valid); masked key
-  // tails get exact-zero softmax weights, making the result bit-identical
-  // to Transformer::encode on the same ragged batch.  Never resets `ws`
-  // (the caller owns reset points), so the whole pass stacks in one
-  // workspace frame — warm the workspace once at the maximum shape and
-  // every later call is zero-alloc.
-  void encode_into(const ConstTensorView& src_ids, const TensorView& output,
-                   const index_t* src_lengths, Workspace& ws);
-
   void flatten_into(std::vector<nn::PipelineStage>& stages) override;
   void freeze() override;
   void unfreeze() override;

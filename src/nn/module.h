@@ -16,8 +16,8 @@
 //    not cache (backward() after forward_into() is undefined), and must
 //    not reset `ws` (the pass driver owns the reset points).  `in` and
 //    `out` never alias.  `output_shape(in_shape)` reports the result shape
-//    so drivers (runtime::InferenceSession) can preallocate buffers before
-//    any data flows.
+//    so drivers (runtime::StagePlan) can preallocate buffers before any
+//    data flows.
 //
 // Every module inherits a default forward_into() adapter that routes
 // through the legacy copying forward(), so v1-only modules work inside v2
@@ -61,8 +61,10 @@ class Module;
 // boundary[input] + boundary[addend] element-wise.  Referencing arbitrary
 // earlier boundaries is what lets residual blocks (ResNet BasicBlock,
 // Transformer encoder layers) flatten into primitive per-layer stages
-// instead of serving as one monolithic adapter; the pipeline driver
-// (runtime::InferenceSession) plans boundary buffers by liveness.
+// instead of serving as one monolithic adapter.  One driver runs every
+// serving pipeline — runtime::StagePlan plans the boundary buffers by
+// liveness and runtime::StageLane runs the stages (runtime/stage_plan.h)
+// — for InferenceSession, the DecodeSession step and prefill alike.
 struct PipelineStage {
   Module* module = nullptr;
   index_t input = -1;   // boundary consumed (stage position - 1 by default)
@@ -71,8 +73,8 @@ struct PipelineStage {
   bool is_add() const { return module == nullptr; }
 };
 
-// out[i] = a[i] + b[i], the residual add of every serving path in the
-// training path's operand order; callers check their view shapes once.
+// out[i] = a[i] + b[i], a residual-add stage in the training path's
+// operand order; the stage driver checks the view shapes at bind.
 inline void residual_add(const float* a, const float* b, float* out,
                          index_t count) {
   for (index_t i = 0; i < count; ++i) out[i] = a[i] + b[i];
@@ -80,10 +82,9 @@ inline void residual_add(const float* a, const float* b, float* out,
 
 // Checks the boundary wiring of a flattened stage plan: every stage may
 // only read boundaries already produced, and only residual-add stages
-// carry an addend.  Shared by the pipeline drivers
-// (runtime::InferenceSession, runtime::DecodeSession) so a flatten_into
-// regression fails identically under either.  `driver` names the caller
-// in error messages.
+// carry an addend.  runtime::StagePlan runs it on every plan, so a
+// flatten_into regression fails identically under every session.
+// `driver` names the caller in error messages.
 void validate_pipeline(const std::vector<PipelineStage>& stages,
                        const char* driver);
 

@@ -48,42 +48,24 @@ DecodeSession::DecodeSession(models::Transformer& model,
                "DecodeSession — destroy it before binding a new one");
   model_->set_training(false);
 
-  // Flatten the decode-step pipeline: every decoder layer's stages, then
-  // the output projection as the final stage.
+  // Flatten the decode-step pipeline — every decoder layer's stages,
+  // then the output projection as the final stage — and the prefill
+  // pipeline, the encoder over [1, Ts] source ids.
+  std::vector<nn::PipelineStage> stages;
   for (index_t l = 0; l < layers; ++l)
-    model_->decoder_layer(l).flatten_into(stages_);
-  model_->output_projection().flatten_into(stages_);
-  nn::validate_pipeline(stages_, "DecodeSession");
-
-  // Per-boundary row widths via the shape pipeline at batch 1 (widths are
-  // batch-independent; every boundary keeps the batch leading).
-  stage_width_.reserve(stages_.size());
-  {
-    auto width_of = [&](index_t b) {
-      return b < 0 ? d_model_
-                   : stage_width_[static_cast<std::size_t>(b)];
-    };
-    for (const nn::PipelineStage& st : stages_) {
-      if (st.is_add()) {
-        QDNN_CHECK(width_of(st.input) == width_of(st.addend),
-                   "DecodeSession: residual-add operand widths "
-                       << width_of(st.input) << " vs "
-                       << width_of(st.addend));
-        stage_width_.push_back(width_of(st.input));
-      } else {
-        const Shape out =
-            st.module->output_shape(Shape{1, width_of(st.input)});
-        QDNN_CHECK(out.rank() == 2 && out[0] == 1,
-                   st.module->name() << ": step stage output " << out
-                                     << " is not [N, W]");
-        stage_width_.push_back(out[1]);
-      }
-    }
-  }
-  QDNN_CHECK(stage_width_.back() == vocab_,
-             "DecodeSession: final stage width " << stage_width_.back()
-                                                 << " != tgt_vocab "
-                                                 << vocab_);
+    model_->decoder_layer(l).flatten_into(stages);
+  model_->output_projection().flatten_into(stages);
+  step_plan_ = StagePlan(std::move(stages),
+                         Shape{config_.max_batch, d_model_},
+                         "DecodeSession");
+  QDNN_CHECK(step_plan_.max_output() == Shape({config_.max_batch, vocab_}),
+             "DecodeSession: final stage output "
+                 << step_plan_.max_output() << " is not [max_batch, "
+                 << vocab_ << "] (tgt_vocab)");
+  std::vector<nn::PipelineStage> encoder_stages;
+  encoder_.flatten_into(encoder_stages);
+  prefill_plan_ = StagePlan(std::move(encoder_stages), Shape{1, max_src_},
+                            "DecodeSession prefill");
 
   // Bind step: prepack the whole model's weights — the encoder serves
   // every prefill, the decoder every step — and drop training caches
@@ -124,9 +106,7 @@ DecodeSession::DecodeSession(models::Transformer& model,
       KvPagePool::kSentinelPage);
 
   embed_buf_ = Tensor{Shape{config_.max_batch * d_model_}};
-  buffers_.reserve(stages_.size());
-  for (index_t w : stage_width_)
-    buffers_.emplace_back(Shape{config_.max_batch * w});
+  step_lane_ = StageLane(step_plan_);
   next_tokens_.reserve(static_cast<std::size_t>(config_.max_batch));
   feed_tokens_.reserve(static_cast<std::size_t>(config_.max_batch));
   done_.reserve(static_cast<std::size_t>(config_.max_batch));
@@ -139,12 +119,6 @@ DecodeSession::DecodeSession(models::Transformer& model,
   // prime: an unprimed row is never advanced, and never stepped unless a
   // live row sits above it.
   parked_.assign(static_cast<std::size_t>(config_.max_batch), 1);
-  in_views_.resize(stages_.size());
-  add_views_.resize(stages_.size());
-  out_views_.resize(stages_.size());
-  // Profiling slots: embed + every stage + argmax (see stage_profile()).
-  stage_ns_.assign(stages_.size() + 2, 0);
-  stage_calls_.assign(stages_.size() + 2, 0);
 
   // From the first bind on, an exception must not leave the model's
   // adapters pointing into this half-constructed (about-to-unwind)
@@ -170,8 +144,8 @@ DecodeSession::DecodeSession(models::Transformer& model,
       primed_ = false;
       row_steps_.assign(static_cast<std::size_t>(config_.max_batch), 0);
       src_lengths_.assign(static_cast<std::size_t>(config_.max_batch), 0);
-      ws_.reset();
-      ws_.consolidate();
+      step_lane_.workspace().reset();
+      step_lane_.workspace().consolidate();
     }
   } catch (...) {
     warming_ = false;
@@ -190,9 +164,7 @@ void DecodeSession::unbind_all() {
 }
 
 bool DecodeSession::fully_native() const {
-  for (const nn::PipelineStage& st : stages_)
-    if (!st.is_add() && !st.module->supports_forward_into()) return false;
-  return true;
+  return runtime::fully_native(step_plan_.stages());
 }
 
 index_t DecodeSession::kv_cache_floats() const {
@@ -239,40 +211,12 @@ void DecodeSession::bind_adapters() {
   }
 }
 
-void DecodeSession::slice_views(index_t m) {
-  // Re-slice every stage boundary to rows [0, m).  Shapes are inline and
-  // the views are POD, so this never touches the heap; run_step calls it
-  // whenever the stepped width changes.
-  auto boundary_data = [&](index_t b) -> float* {
-    return b < 0 ? embed_buf_.data()
-                 : buffers_[static_cast<std::size_t>(b)].data();
-  };
-  auto boundary_width = [&](index_t b) {
-    return b < 0 ? d_model_ : stage_width_[static_cast<std::size_t>(b)];
-  };
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    const nn::PipelineStage& st = stages_[i];
-    in_views_[i] = ConstTensorView(Shape{m, boundary_width(st.input)},
-                                   boundary_data(st.input));
-    add_views_[i] =
-        st.is_add() ? ConstTensorView(Shape{m, boundary_width(st.addend)},
-                                      boundary_data(st.addend))
-                    : ConstTensorView{};
-    out_views_[i] = TensorView(
-        Shape{m, stage_width_[i]}, boundary_data(static_cast<index_t>(i)));
-  }
-  logits_view_ =
-      ConstTensorView(Shape{m, vocab_}, buffers_.back().data());
-  sliced_n_ = m;
-}
-
 index_t DecodeSession::acquire_page_() {
   index_t page = pool_.acquire();
   // Cached prefixes whose only holder is the cache are reclaimable:
-  // evict LRU entries until a page frees up or nothing is left to evict
-  // (an eviction may free nothing when every page is still shared by a
-  // live row — keep evicting, later entries may be sole holders).
-  while (page < 0 && prefix_cache_.evict_one(pool_)) page = pool_.acquire();
+  // drop LRU entries that free a page until one is free, keeping every
+  // entry whose pages a live row still maps (dropping it frees nothing).
+  while (page < 0 && prefix_cache_.reclaim_one(pool_)) page = pool_.acquire();
   return page;
 }
 
@@ -378,17 +322,17 @@ void DecodeSession::prime(const Tensor& src_ids,
                                              << " outside [0, " << ts
                                              << "] (0 = all valid)");
 
-  // Row by row through the masked native encoder — the same kernels and
-  // per-row masking as prime_row/prime_compute, so all three admission
-  // paths stay bit-identical (and bit-identical to the training-path
-  // encoder, hence to greedy_decode_reference).
+  // Row by row through the prefill lane — the same body as
+  // prime_row/prime_compute, so all three admission paths stay
+  // bit-identical (and bit-identical to the training-path encoder on the
+  // valid rows, hence to greedy_decode_reference).
   init_staging(solo_staging_);
   bound_n_ = n;
   for (index_t r = 0; r < n; ++r) {
     const auto ri = static_cast<std::size_t>(r);
     const index_t len =
         src_lengths.empty() || src_lengths[ri] == 0 ? ts : src_lengths[ri];
-    prime_compute_impl(src_ids.data() + r * ts, ts, len, solo_staging_);
+    prime_compute_impl(src_ids.data() + r * ts, len, solo_staging_);
     commit_row_impl(r, solo_staging_);
   }
   primed_ = true;
@@ -410,40 +354,28 @@ void DecodeSession::prime_row(index_t row, const Tensor& src_ids,
 void DecodeSession::init_staging(PrefillStaging& staging) const {
   const index_t floats =
       model_->num_decoder_layers() * max_src_ * proj_dim_;
-  const bool fresh = staging.k.numel() != floats;
+  const bool fresh =
+      staging.k.numel() != floats || !staging.lane.runs(prefill_plan_);
   if (fresh) {
     staging.k = Tensor{Shape{floats}};
     staging.v = Tensor{Shape{floats}};
+    staging.lane = StageLane(prefill_plan_);
     staging.tokens.reserve(static_cast<std::size_t>(max_src_));
     staging.page_ids.reserve(static_cast<std::size_t>(cross_ppr_));
   }
   if (fresh && config_.warmup) {
-    // One dummy prefill at the deepest geometry discovers the slot's
-    // workspace watermark (encoder activations + projection scratch), so
-    // every later prime_compute through the slot is zero-alloc.  Rewind
-    // the slot afterwards: committing it before a real prefill must still
-    // be the "empty staging" error.
+    // One dummy prefill at the deepest geometry discovers the lane's
+    // workspace watermark (per-stage encoder scratch, projection
+    // scratch), so every later prime_compute through the slot is
+    // zero-alloc.  Rewind the slot afterwards: committing it before a
+    // real prefill must still be the "empty staging" error.
     Tensor ids{Shape{max_src_}};  // zero-filled: token id 0
     prime_compute(ids, /*src_length=*/0, staging);
     staging.ts = 0;
-    staging.len = 0;
     staging.tokens.clear();
-    staging.ws.reset();
-    staging.ws.consolidate();
+    staging.lane.workspace().reset();
+    staging.lane.workspace().consolidate();
   }
-}
-
-ConstTensorView DecodeSession::encode_source(const float* ids, index_t ts,
-                                             index_t len,
-                                             PrefillStaging& staging) const {
-  // One workspace frame for the whole prefill: the reset here is the
-  // slot's only reset point, so the encoder activations and everything
-  // the caller stacks after them (the cross projections) coexist.
-  staging.ws.reset();
-  const ConstTensorView ids_view(Shape{1, ts}, ids);
-  const TensorView enc = staging.ws.take(Shape{1, ts, d_model_});
-  encoder_.encode_into(ids_view, enc, &len, staging.ws);
-  return ConstTensorView(Shape{ts, d_model_}, enc.data());
 }
 
 void DecodeSession::prime_compute(const Tensor& src_ids,
@@ -462,43 +394,46 @@ void DecodeSession::prime_compute(const Tensor& src_ids,
                                           << ts << "] (0 = all valid)");
   const index_t layers = model_->num_decoder_layers();
   QDNN_CHECK(staging.k.numel() == layers * max_src_ * proj_dim_ &&
-                 staging.v.numel() == staging.k.numel(),
+                 staging.v.numel() == staging.k.numel() &&
+                 staging.lane.runs(prefill_plan_),
              "DecodeSession: staging not sized for this session — call "
              "init_staging first");
-  const index_t len = src_length > 0 ? src_length : ts;
-  prime_compute_impl(src_ids.data(), ts, len, staging);
+  prime_compute_impl(src_ids.data(), src_length > 0 ? src_length : ts,
+                     staging);
 }
 
-void DecodeSession::prime_compute_impl(const float* ids, index_t ts,
-                                       index_t len,
+void DecodeSession::prime_compute_impl(const float* ids, index_t len,
                                        PrefillStaging& staging) const {
   QDNN_CHECK(staging.page_ids.empty(),
              "DecodeSession: prime_compute on a staging slot still "
              "holding prefix pages — commit or release them first");
-  // Capture the source ids: the prefix-cache key commit_row publishes
+  // Capture the valid prefix: the prefix-cache key commit_row publishes
   // the computed pages under.  Reserved at init_staging, so no alloc.
   staging.tokens.clear();
-  for (index_t i = 0; i < ts; ++i)
+  for (index_t i = 0; i < len; ++i)
     staging.tokens.push_back(static_cast<index_t>(ids[i]));
   staging.from_cache = false;
 
-  // Masked native encoder + cross projections, all from staging.ws —
-  // stateless kernels over frozen weights, so concurrent calls (each
-  // with a private staging) never touch shared mutable state.  The
-  // projections stack in the same frame as the encoder activation:
-  // encode_source owns the slot's single reset point.
-  const ConstTensorView enc_view = encode_source(ids, ts, len, staging);
+  // The encoder plan over the valid prefix only, then the cross
+  // projections from the lane's output boundary — stateless kernels over
+  // frozen weights, all scratch from the slot's lane, so concurrent
+  // calls (each with a private staging) never touch shared mutable state.
+  StageLane& lane = staging.lane;
+  lane.bind(Shape{1, len});
+  lane.run(ids);
+  const ConstTensorView enc(Shape{len, d_model_}, lane.output().data());
+  Workspace& ws = lane.workspace();
   const index_t layers = model_->num_decoder_layers();
   for (index_t l = 0; l < layers; ++l) {
     const index_t offset = l * max_src_ * proj_dim_;
+    ws.reset();
     model_->decoder_layer(l).cross_attention().project_kv(
-        enc_view, 1, ts,
-        TensorView(Shape{1, ts, proj_dim_}, staging.k.data() + offset),
-        TensorView(Shape{1, ts, proj_dim_}, staging.v.data() + offset),
-        staging.ws);
+        enc, 1, len,
+        TensorView(Shape{1, len, proj_dim_}, staging.k.data() + offset),
+        TensorView(Shape{1, len, proj_dim_}, staging.v.data() + offset),
+        ws);
   }
-  staging.ts = ts;
-  staging.len = len;
+  staging.ts = len;
 }
 
 void DecodeSession::commit_row(index_t row, PrefillStaging& staging) {
@@ -506,8 +441,7 @@ void DecodeSession::commit_row(index_t row, PrefillStaging& staging) {
              "DecodeSession: row " << row << " outside [0, "
                                    << config_.max_batch << ")");
   const index_t layers = model_->num_decoder_layers();
-  QDNN_CHECK(staging.ts >= 1 && staging.ts <= max_src_ &&
-                 staging.len >= 1 && staging.len <= staging.ts,
+  QDNN_CHECK(staging.ts >= 1 && staging.ts <= max_src_,
              "DecodeSession: commit_row on empty staging — run "
              "prime_compute first");
   QDNN_CHECK(staging.k.numel() == layers * max_src_ * proj_dim_ &&
@@ -577,14 +511,13 @@ void DecodeSession::commit_row_impl(index_t row, PrefillStaging& staging) {
     }
     if (prefix_cache_.enabled() &&
         static_cast<index_t>(staging.tokens.size()) == staging.ts) {
-      const std::uint64_t h =
-          prefix_hash(staging.tokens.data(), staging.ts, staging.len);
-      prefix_cache_.publish(h, staging.tokens.data(), staging.ts,
-                            staging.len, crow, n_pages, pool_);
+      const std::uint64_t h = prefix_hash(staging.tokens.data(), staging.ts);
+      prefix_cache_.publish(h, staging.tokens.data(), staging.ts, crow,
+                            n_pages, pool_);
     }
   }
 
-  src_lengths_[static_cast<std::size_t>(row)] = staging.len;
+  src_lengths_[static_cast<std::size_t>(row)] = staging.ts;
   row_steps_[static_cast<std::size_t>(row)] = 0;
   parked_[static_cast<std::size_t>(row)] = 0;
   primed_ = true;
@@ -611,14 +544,13 @@ bool DecodeSession::prefix_lookup_into(const Tensor& src_ids,
   const index_t len = src_length > 0 ? src_length : ts;
 
   staging.tokens.clear();
-  for (index_t i = 0; i < ts; ++i)
+  for (index_t i = 0; i < len; ++i)
     staging.tokens.push_back(static_cast<index_t>(src_ids.data()[i]));
-  const std::uint64_t h = prefix_hash(staging.tokens.data(), ts, len);
-  if (!prefix_cache_.lookup_acquire(h, staging.tokens.data(), ts, len,
-                                    pool_, staging.page_ids))
+  const std::uint64_t h = prefix_hash(staging.tokens.data(), len);
+  if (!prefix_cache_.lookup_acquire(h, staging.tokens.data(), len, pool_,
+                                    staging.page_ids))
     return false;
-  staging.ts = ts;
-  staging.len = len;
+  staging.ts = len;
   staging.from_cache = true;
   return true;
 }
@@ -658,12 +590,15 @@ void DecodeSession::run_step(const std::vector<index_t>& tokens) {
   // the same chain whatever the row count, and attention is per row, so
   // the live rows' bits do not depend on hi.
   const index_t n = stepped_rows();
-  if (n != sliced_n_) slice_views(n);
   next_tokens_.resize(static_cast<std::size_t>(bound_n_));
   for (index_t r = n; r < bound_n_; ++r)
     next_tokens_[static_cast<std::size_t>(r)] =
         tokens[static_cast<std::size_t>(r)];
-  if (n == 0) return;
+  if (n == 0) {
+    logits_view_ =
+        ConstTensorView(Shape{0, vocab_}, step_lane_.output().data());
+    return;
+  }
   // Map a self-KV page for every live row entering a new page-aligned
   // block.  Solo/default pools can never trip this (pool_pages covers
   // every row fully deep); an oversubscribing scheduler must call
@@ -681,14 +616,16 @@ void DecodeSession::run_step(const std::vector<index_t>& tokens) {
                         "pool_pages");
     }
   }
-  // Stage profiling piggybacks on the trace gate: two clock reads per
-  // stage while tracing, nothing at all (one relaxed load) when off.
+  // Re-slices the lane only when the stepped width changed.
+  step_lane_.bind(Shape{n, d_model_});
+  // The pseudo-stages profile like the lane's stages: two clock reads
+  // each while tracing, nothing at all (one relaxed load) when off.
   const bool profiling = obs::trace_enabled();
   long long t_prev = profiling ? obs::now_ns() : 0;
   const auto mark = [&](std::size_t slot) {
     const long long t_now = obs::now_ns();
-    stage_ns_[slot] += t_now - t_prev;
-    ++stage_calls_[slot];
+    head_ns_[slot] += t_now - t_prev;
+    ++head_calls_[slot];
     t_prev = t_now;
   };
   // Embed each row's new token at that row's ring position:
@@ -711,24 +648,12 @@ void DecodeSession::run_step(const std::vector<index_t>& tokens) {
   }
   if (profiling) mark(0);
 
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    const nn::PipelineStage& st = stages_[i];
-    if (st.is_add()) {
-      // Residual-add stage: out = in + addend.
-      nn::residual_add(in_views_[i].data(), add_views_[i].data(),
-                       out_views_[i].data(), out_views_[i].numel());
-      if (profiling) mark(i + 1);
-      continue;
-    }
-    // Scratch lives only within a stage; rewinding here caps the
-    // workspace at the per-stage maximum instead of the pipeline sum.
-    ws_.reset();
-    st.module->forward_into(in_views_[i], out_views_[i], ws_);
-    if (profiling) mark(i + 1);
-  }
+  step_lane_.run(embed_buf_.data());
+  logits_view_ = step_lane_.output();
+  if (profiling) t_prev = obs::now_ns();
 
   // Greedy head: first-maximum argmax, matching greedy_decode_reference.
-  const float* logits = buffers_.back().data();
+  const float* logits = logits_view_.data();
   for (index_t r = 0; r < n; ++r) {
     const float* row = logits + r * vocab_;
     index_t best = 0;
@@ -736,7 +661,7 @@ void DecodeSession::run_step(const std::vector<index_t>& tokens) {
       if (row[v] > row[best]) best = v;
     next_tokens_[static_cast<std::size_t>(r)] = best;
   }
-  if (profiling) mark(stages_.size() + 1);
+  if (profiling) mark(1);
   // Parked rows below hi stay pinned at ring position 0: they were
   // stepped (output ignored) but never advance, so an idle row's ring
   // cannot exhaust no matter how many ticks pass.
@@ -746,22 +671,22 @@ void DecodeSession::run_step(const std::vector<index_t>& tokens) {
 }
 
 std::vector<obs::StageTiming> DecodeSession::stage_profile() const {
+  const std::vector<nn::PipelineStage>& stages = step_plan_.stages();
   std::vector<obs::StageTiming> out;
-  out.reserve(stage_ns_.size());
-  for (std::size_t i = 0; i < stage_ns_.size(); ++i) {
+  out.reserve(stages.size() + 2);
+  const auto push = [&out](std::string name, long long calls,
+                           long long ns) {
     obs::StageTiming t;
-    if (i == 0) {
-      t.name = "embed";
-    } else if (i == stage_ns_.size() - 1) {
-      t.name = "argmax";
-    } else {
-      const nn::PipelineStage& st = stages_[i - 1];
-      t.name = st.is_add() ? "residual_add" : st.module->name();
-    }
-    t.calls = stage_calls_[i];
-    t.total_ns = stage_ns_[i];
+    t.name = std::move(name);
+    t.calls = calls;
+    t.total_ns = ns;
     out.push_back(std::move(t));
-  }
+  };
+  push("embed", head_calls_[0], head_ns_[0]);
+  for (std::size_t i = 0; i < stages.size(); ++i)
+    push(stages[i].is_add() ? "residual_add" : stages[i].module->name(),
+         step_lane_.stage_calls()[i], step_lane_.stage_ns()[i]);
+  push("argmax", head_calls_[1], head_ns_[1]);
   return out;
 }
 

@@ -5,20 +5,27 @@
 //   * bind (construction): the decoder stack is flattened into per-step
 //     stages (DecoderLayer::flatten_into — attention steps, residual-add,
 //     LayerNorm and FFN stages over [N, D] boundaries) plus the output
-//     projection; per-layer KV cache rings, boundary buffers, the logits
-//     buffer and the argmax scratch are preallocated for
-//     (max_batch, max_steps); unless config.freeze is off, the whole
+//     projection, and becomes the step runtime::StagePlan, run on one
+//     runtime::StageLane (stage_plan.h) between the embed and argmax
+//     pseudo-stages; the encoder (TransformerEncoder::flatten_into)
+//     becomes the prefill StagePlan, run on a lane owned by each
+//     PrefillStaging.  The KV page pool, the step lane's boundary
+//     buffers, the logits buffer and the argmax scratch are preallocated
+//     for (max_batch, max_steps); unless config.freeze is off, the whole
 //     model (both embeddings, the encoder that runs every prefill, the
 //     decoder layers and the output projection) is frozen — constant
 //     GEMM operands prepacked, training caches dropped;
 //     a warm-up step at the deepest ring position discovers the workspace
 //     watermark, which is then consolidated into one contiguous block.
-//   * prime(src): runs the masked native encoder
-//     (TransformerEncoder::encode_into — ragged src_lengths mask key
-//     tails to exact-zero softmax weights, bit-identical to the training
-//     path), projects each layer's cross-attention K/V once into the
-//     encoder-side caches, and rewinds the step counters.  The per-request
-//     setup; zero-alloc once the solo staging slot is warm.
+//   * prime(src): runs the encoder plan over each source's VALID PREFIX
+//     (its first src_length tokens, all when 0) — exact, because a
+//     padded key gets an exact-zero softmax weight, so a valid row of the
+//     padded training-path encoder is bit-identical to the same row
+//     encoded at the valid length — projects each layer's
+//     cross-attention K/V once into the encoder-side caches, and rewinds
+//     the step counters.  Pad tokens never reach an output, so they are
+//     never encoded, projected, paged or hashed.  The per-request setup;
+//     zero-alloc once the solo staging slot is warm.
 //   * prime_row(row, src)/reset_row(row): the per-row face of the same
 //     lifecycle, for continuous batching (serve::BatchScheduler).  Every
 //     row carries its own step counter, source length and cache slices,
@@ -29,8 +36,8 @@
 //     serving only that request.
 //   * prime_compute(src, staging)/commit_row(row, staging): prime_row
 //     split at the prefill/decode boundary.  prime_compute is the
-//     expensive half — the masked native encoder pass plus every layer's
-//     cross-K/V projection, all written into / scratched from the
+//     expensive half — the encoder plan over the valid prefix plus every
+//     layer's cross-K/V projection, all written into / scratched from the
 //     caller-owned PrefillStaging — and touches NO session or model
 //     mutable state (stateless kernels reading frozen weights), so
 //     serve::PrefillPool workers run it fully concurrently with each
@@ -72,7 +79,8 @@
 // first, at any worker count) — bit-identical to a cold prime, because
 // the pages hold the cold prime's bits.  Cached pages whose only holder
 // is the cache are reclaimed (LRU) whenever the pool runs dry, so the
-// cache can never starve admission.
+// cache can never starve admission; an entry whose pages live rows all
+// still map frees nothing and is kept.
 //
 // The session binds the model's decoder step adapters; one DecodeSession
 // may bind a given Transformer at a time (the destructor unbinds).  With
@@ -92,10 +100,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/workspace.h"
 #include "models/transformer/transformer.h"
 #include "obs/profile.h"
 #include "runtime/kv_pages.h"
+#include "runtime/stage_plan.h"
 
 namespace qdnn::runtime {
 
@@ -103,19 +111,19 @@ namespace qdnn::runtime {
 // for one request, computed off the serving thread by prime_compute and
 // copied into a batch row by commit_row.  Sized by
 // DecodeSession::init_staging (layers × max_src × proj_dim floats per
-// tensor, layer-major); the workspace is the worker's private arena for
-// the WHOLE prefill — encoder activations and projection scratch — so a
-// worker never touches the session's own arena or any other worker's.
+// tensor, layer-major); the lane runs the session's encoder plan with
+// the worker's private boundary buffers and workspace (which the
+// projections reuse), so a worker never touches the session's own
+// buffers or any other worker's.
 // Ownership contract: one thread drives a slot at a time (PrefillPool
 // checks slots out exclusively); the slot is reusable — each
 // prime_compute overwrites the previous request — and after init_staging
 // warms it, a prefill at any geometry up to max_src is zero-alloc.
 struct PrefillStaging {
   Tensor k, v;     // [layers · max_src · P], layer-major slices
-  index_t ts = 0;  // source rows projected ([1, max_src])
-  index_t len = 0; // valid (non-pad) positions ([1, ts])
-  Workspace ws;    // projection scratch, owned by the slot
-  // Prefix-reuse state (PR 10).  `tokens` is the source id sequence,
+  index_t ts = 0;  // valid source positions projected ([1, max_src])
+  StageLane lane;  // the encoder plan's per-slot buffers and workspace
+  // Prefix-reuse state.  `tokens` is the source's valid prefix,
   // captured by prime_compute (the cache key commit_row publishes
   // under) or by prefix_lookup_into (the key it matched).  On a cache
   // hit (from_cache = true, prime_compute skipped) `page_ids` holds the
@@ -203,12 +211,12 @@ class DecodeSession {
   // Idempotent; allocates only on first use.
   void init_staging(PrefillStaging& staging) const;
 
-  // The lock-free compute half of prime_row: encodes ONE source ([Ts] or
-  // [1, Ts] ids, src_length ∈ [0, Ts] valid positions, 0 = all Ts)
-  // through the masked native encoder and projects every layer's
-  // cross-attention K/V into `staging`.  The whole pass — embed,
-  // positional scale, masked attention, FFN, LayerNorm, projections —
-  // runs via stateless forward_into kernels from staging.ws, reading
+  // The lock-free compute half of prime_row: encodes ONE source's valid
+  // prefix ([Ts] or [1, Ts] ids, src_length ∈ [0, Ts] valid positions,
+  // 0 = all Ts) through the encoder plan on staging.lane and projects
+  // every layer's cross-attention K/V into `staging`.  The whole pass —
+  // embed, positional scale, attention, FFN, LayerNorm, projections —
+  // runs via stateless forward_into kernels on the slot's lane, reading
   // frozen weights and writing nothing shared: no session or model state
   // is touched, so any number of prime_compute calls run fully
   // concurrently with each other and with step()/commit_row on the
@@ -231,8 +239,9 @@ class DecodeSession {
   // prefixes — gate admission on free_pages() to avoid it.
   void commit_row(index_t row, PrefillStaging& staging);
 
-  // Prefix-cache admission: checks the cache for this exact source
-  // (full-token compare — hash collisions can never alias) and, on a
+  // Prefix-cache admission: checks the cache for this source's valid
+  // prefix (full-token compare — hash collisions can never alias; pads
+  // after src_length are not part of the key) and, on a
   // hit, acquires the shared pages INTO `staging` (page_ids +
   // from_cache, one refcount per page held by the slot) so the caller
   // skips prime_compute and commit_row maps the pages — bit-identical to
@@ -306,10 +315,12 @@ class DecodeSession {
   // True when every module stage has a native (allocation-free)
   // forward_into — all stock projection families qualify.
   bool fully_native() const;
-  index_t num_stages() const { return static_cast<index_t>(stages_.size()); }
+  index_t num_stages() const { return step_plan_.num_stages(); }
   // Footprint introspection, in floats.
   index_t kv_cache_floats() const;
-  index_t workspace_floats() const { return ws_.capacity(); }
+  index_t workspace_floats() const {
+    return step_lane_.workspace().capacity();
+  }
 
   // --- paged-KV introspection (PR 10) ------------------------------------
   // Token positions per page (config.page_tokens).
@@ -340,8 +351,9 @@ class DecodeSession {
   void check_invariants(const std::vector<index_t>& staged) const;
 
   // Per-stage wall-time accumulated by run_step while tracing is enabled
-  // (obs::trace_enabled()): one entry per pipeline stage, bracketed by an
-  // "embed" pseudo-stage in front and "argmax" at the back.  Accumulation
+  // (obs::trace_enabled()): one entry per step-plan stage, bracketed by
+  // an "embed" pseudo-stage in front and "argmax" at the back.  Prefill
+  // lanes keep their own accumulators and add nothing here.  Accumulation
   // is two clock reads per stage per step, entirely skipped when tracing
   // is off (the zero-overhead disabled path).  Buffers are preallocated
   // at bind; the accessor allocates only the returned vector.  Not
@@ -352,27 +364,21 @@ class DecodeSession {
   // Points the attention step adapters at the paged KV views and the
   // per-row counters (once, at bind).
   void bind_adapters();
-  // Re-slices every stage boundary view (and logits()) to rows [0, m).
-  void slice_views(index_t m);
   // Rows the next step runs: 1 + the highest non-parked bound row (all
   // bound rows while warming).
   index_t stepped_rows() const;
   void unbind_all();
-  // Runs the masked native encoder over one source ([ts] ids at `ids`,
-  // `len` valid positions) inside `staging.ws` — resetting the slot's
-  // workspace first, so the returned [ts, D] view and everything a caller
-  // stacks after it (the cross projections) live in one frame.  The only
-  // writes are to `staging`; safe from any thread with a private slot.
-  ConstTensorView encode_source(const float* ids, index_t ts, index_t len,
-                                PrefillStaging& staging) const;
   // The shared bodies behind prime/prime_row/prime_compute/commit_row:
   // _impl performs no (re)binding, so prime() can drive them per row
-  // after binding the batch width once.
-  void prime_compute_impl(const float* ids, index_t ts, index_t len,
+  // after binding the batch width once.  prime_compute_impl encodes the
+  // `len` ids at `ids` on staging.lane and projects them; the only
+  // writes are to `staging`, so it is safe from any thread with a
+  // private slot.
+  void prime_compute_impl(const float* ids, index_t len,
                           PrefillStaging& staging) const;
   void commit_row_impl(index_t row, PrefillStaging& staging);
-  // Pool acquire that reclaims LRU prefix-cache entries on exhaustion;
-  // -1 only when live rows hold everything.
+  // Pool acquire that reclaims LRU prefix-cache entries on exhaustion
+  // (PrefixCache::reclaim_one); -1 only when live rows hold everything.
   index_t acquire_page_();
   // Releases every non-sentinel page mapped by row `row` (both tables)
   // and rewinds the table entries to the sentinel.
@@ -385,9 +391,13 @@ class DecodeSession {
 
   // Step-stage plan: boundary -1 is the embedded token row [N, D];
   // residual-add stages have a null module; the final stage is the output
-  // projection onto [N, tgt_vocab].
-  std::vector<nn::PipelineStage> stages_;
-  std::vector<index_t> stage_width_;  // per-boundary row width
+  // projection onto [N, tgt_vocab], which lands in the lane's own output
+  // buffer (logits()).
+  StagePlan step_plan_;
+  StageLane step_lane_;
+  // The encoder plan over [1, Ts] source ids, shared by every staging
+  // slot's lane.
+  StagePlan prefill_plan_;
 
   // Paged KV state (PR 10).  One pool backs both attention kinds; the
   // per-row page tables ([max_batch, pages_per_row], sentinel-filled when
@@ -403,11 +413,7 @@ class DecodeSession {
   // all-sentinel tables (defined zero memory) and no pages are acquired.
   bool warming_ = false;
 
-  Tensor embed_buf_;               // [max_batch · d_model], boundary -1
-  std::vector<Tensor> buffers_;    // per-stage boundary buffers
-  std::vector<ConstTensorView> in_views_;
-  std::vector<ConstTensorView> add_views_;
-  std::vector<TensorView> out_views_;
+  Tensor embed_buf_;  // [max_batch · d_model], boundary -1
   ConstTensorView logits_view_;
 
   std::vector<index_t> next_tokens_;  // argmax per row, step() result
@@ -423,25 +429,21 @@ class DecodeSession {
   // row.  All rows start parked.
   std::vector<char> parked_;
 
-  // Stage profiling accumulators (stage_profile()): slot 0 is the embed
-  // pseudo-stage, 1..stages are the pipeline stages, the last slot is the
-  // argmax head.  Sized at bind, written by run_step only while tracing
-  // is enabled.
-  std::vector<long long> stage_ns_;
-  std::vector<long long> stage_calls_;
+  // Profiling accumulators of the pseudo-stages around the step lane
+  // (stage_profile()): [0] embed, [1] argmax.  Written by run_step only
+  // while tracing is enabled.
+  long long head_ns_[2] = {0, 0};
+  long long head_calls_[2] = {0, 0};
 
-  Workspace ws_;
-  // The masked native encoder facade prime/prime_compute run through —
-  // stateless (all scratch comes from the caller's staging workspace),
-  // so no mutex guards it.  mutable: prime_compute is const and the
-  // facade holds no mutable state of its own.
-  mutable models::TransformerEncoder encoder_;
+  // The encoder facade whose flattened stages form prefill_plan_ (it owns
+  // the scale+positional stage module).  Stateless at serving time, so
+  // concurrent prefill lanes need no mutex.
+  models::TransformerEncoder encoder_;
   // Staging for the prime/prime_row face, warmed on their first call: a
   // serve::BatchScheduler never primes through it (its PrefillPool owns
   // the slots), so a scheduler's session never allocates it.
   PrefillStaging solo_staging_;
   index_t bound_n_ = 0;
-  index_t sliced_n_ = -1;  // rows the boundary views span (slice_views)
   bool primed_ = false;
 };
 

@@ -15,22 +15,24 @@
 //     perform no per-call gemm packing and the packing scratch drops out
 //     of the workspace watermark (asserted by
 //     tests/runtime/session_test.cpp);
-//   * per-stage output shapes are precomputed via Module::output_shape,
-//     and boundary buffers are planned by liveness — a pure chain gets the
-//     classic two ping-pong buffers, residual pipelines hold a boundary
-//     alive exactly until its last reader;
-//   * each shard owns private boundary buffers for its row range (shards
-//     run the pipeline without a stage barrier, so intermediates must not
-//     be shared), while every final-stage output lands in one shared
-//     output buffer at the shard's disjoint row slice;
-//   * each shard owns a Workspace whose watermark is discovered by a
-//     warm-up pass and then consolidated into one contiguous block.
+//   * the stages become a runtime::StagePlan (stage_plan.h) walked at
+//     the largest shard's input, whose boundary buffers are planned by
+//     liveness — a pure chain gets the classic two ping-pong buffers,
+//     residual pipelines hold a boundary alive exactly until its last
+//     reader;
+//   * each shard runs the plan on its own runtime::StageLane: private
+//     boundary buffers for its row range (shards run the pipeline
+//     without a stage barrier, so intermediates must not be shared), a
+//     Workspace whose watermark is discovered by a warm-up pass and then
+//     consolidated into one contiguous block, and its own profiling
+//     slots, while every final-stage output lands in one shared output
+//     buffer at the shard's disjoint row slice.
 //
-// After warm-up, run() on a fixed batch size performs ZERO heap
-// allocations through every stage with a native forward_into (asserted by
-// tests/runtime/session_test.cpp with a counting global allocator).
-// Changing the batch size re-binds the internal views (a handful of small
-// allocations), then the new size is again allocation-free.
+// After warm-up, run() performs ZERO heap allocations through every
+// stage with a native forward_into (asserted by
+// tests/runtime/session_test.cpp with a counting global allocator) —
+// also when the batch size changes: the lanes re-slice their views in
+// place.
 //
 // num_threads > 1 splits the batch rows into that many shards and runs
 // them as the parts of one core::WorkerPool call: the session owns a pool
@@ -47,18 +49,19 @@
 // path, which builds no pool and takes no lock.
 //
 // Thread-safety: run() is synchronous and not reentrant; drive one
-// session per serving thread or serialize callers.  A sharded session
-// whose run() finds another run() mid-flight fails a QDNN_CHECK instead
-// of racing it (a best-effort guard, not a lock).
+// session per serving thread or serialize callers.  A run() that finds
+// another run() mid-flight — on another thread, or called back from one
+// of its own stages — fails a QDNN_CHECK before it rebinds or reads
+// anything, instead of racing it (a guard, not a lock).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "core/worker_pool.h"
-#include "core/workspace.h"
-#include "nn/module.h"
 #include "obs/profile.h"
+#include "runtime/stage_plan.h"
 
 namespace qdnn::runtime {
 
@@ -100,9 +103,11 @@ class InferenceSession {
 
   index_t max_batch() const { return config_.max_batch; }
   int num_threads() const { return static_cast<int>(shards_.size()); }
-  index_t num_stages() const { return static_cast<index_t>(stages_.size()); }
+  index_t num_stages() const { return plan_.num_stages(); }
   // The flattened stage plan (residual-add stages have a null module).
-  const std::vector<nn::PipelineStage>& pipeline() const { return stages_; }
+  const std::vector<nn::PipelineStage>& pipeline() const {
+    return plan_.stages();
+  }
   // Output shape of one stage's boundary for a given batch size.
   Shape stage_output_shape(index_t stage, index_t batch_size) const;
   // True when every module stage has a native (allocation-free)
@@ -126,29 +131,15 @@ class InferenceSession {
 
  private:
   // One contiguous row-range of the batch, processed end-to-end by one
-  // pool part, on whichever thread claims it.  Intermediate boundaries
-  // live in the shard's private liveness-planned buffers (shards are not
-  // stage-synchronized, so sharing them would race); only the final
-  // stage writes the shared output buffer, at this shard's disjoint row
-  // slice.  Views over the pipeline input are re-pointed at the caller's
-  // data every run.
+  // pool part, on whichever thread claims it, through the shard's own
+  // lane; only the final stage writes the shared output buffer, at this
+  // shard's disjoint row slice.
   struct Shard {
     index_t row_begin = 0;
     index_t rows = 0;
-    std::vector<Tensor> buffers;             // one per planned slot
-    std::vector<ConstTensorView> in_views;   // per stage
-    std::vector<ConstTensorView> add_views;  // per stage (add stages only)
-    std::vector<TensorView> out_views;       // per stage
-    Workspace ws;
-    // Stage profiling accumulators, one per stage, written only by the
-    // part running this shard while tracing is enabled (stage_profile()
-    // sums them).
-    std::vector<long long> stage_ns;
-    std::vector<long long> stage_calls;
+    StageLane lane;
   };
 
-  void plan_buffers();
-  std::vector<Shape> boundary_shapes(index_t n) const;
   void bind(index_t n);
   void run_shard(Shard& shard, const float* input) const;
   const ConstTensorView& run_impl(const float* data, index_t n);
@@ -157,24 +148,15 @@ class InferenceSession {
 
   nn::ModulePtr model_;
   SessionConfig config_;
-  std::vector<nn::PipelineStage> stages_;
+  StagePlan plan_;
   index_t sample_numel_ = 0;
-  // Per-sample numel at each stage's output boundary — constant across
-  // batch sizes.
-  std::vector<index_t> stage_sample_numel_;
-  // Liveness plan: boundary_slot_[i] is the buffer slot of stage i's
-  // output (-1 for the final boundary, which lands in output_buffer_);
-  // slot_sample_numel_[s] is slot s's per-sample capacity.
-  std::vector<index_t> boundary_slot_;
-  std::vector<index_t> slot_sample_numel_;
-  // Stages whose input (or addend) is the pipeline input and must be
-  // re-pointed at the caller's batch every run.
-  std::vector<index_t> input_bound_stages_;
-  std::vector<index_t> input_bound_addends_;
-  Tensor output_buffer_;  // [max_batch · last-stage width], shared
+  index_t out_sample_numel_ = 0;  // per-sample numel of the final boundary
+  Tensor output_buffer_;  // [max_batch · out_sample_numel_], shared
   std::vector<Shard> shards_;
   ConstTensorView output_view_;
   index_t bound_n_ = 0;
+  // Claimed by run() before it rebinds anything.
+  std::atomic<bool> in_flight_{false};
   // Runs the shards (null with one shard).  Declared last so its workers
   // are joined before the shards they run are destroyed.
   std::unique_ptr<core::WorkerPool> pool_;

@@ -1,5 +1,7 @@
 #include "runtime/kv_pages.h"
 
+#include <algorithm>
+
 #include "core/check.h"
 
 namespace qdnn::runtime {
@@ -65,7 +67,7 @@ index_t KvPagePool::refcount(index_t page) const {
   return refs_[static_cast<std::size_t>(page)];
 }
 
-std::uint64_t prefix_hash(const index_t* tokens, index_t ts, index_t len) {
+std::uint64_t prefix_hash(const index_t* tokens, index_t ts) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   const auto mix = [&h](std::uint64_t v) {
     for (int b = 0; b < 8; ++b) {
@@ -73,7 +75,6 @@ std::uint64_t prefix_hash(const index_t* tokens, index_t ts, index_t len) {
       h *= 1099511628211ull;  // FNV prime
     }
   };
-  mix(static_cast<std::uint64_t>(len));
   for (index_t i = 0; i < ts; ++i)
     mix(static_cast<std::uint64_t>(tokens[i]));
   return h;
@@ -99,9 +100,9 @@ void PrefixCache::init(index_t entries, index_t max_tokens,
 
 PrefixCache::Entry* PrefixCache::find_locked(std::uint64_t hash,
                                              const index_t* tokens,
-                                             index_t ts, index_t len) {
+                                             index_t ts) {
   for (Entry& e : entries_) {
-    if (!e.valid || e.hash != hash || e.ts != ts || e.len != len) continue;
+    if (!e.valid || e.hash != hash || e.ts != ts) continue;
     // Full-token compare: a 64-bit hash collision must never alias two
     // different sources into one K/V prefix.
     bool same = true;
@@ -124,17 +125,18 @@ void PrefixCache::drop_locked(Entry& e, KvPagePool& pool) {
 }
 
 bool PrefixCache::lookup_acquire(std::uint64_t hash, const index_t* tokens,
-                                 index_t ts, index_t len, KvPagePool& pool,
+                                 index_t ts, KvPagePool& pool,
                                  std::vector<index_t>& out_pages) {
   if (!enabled()) return false;
   std::lock_guard<std::mutex> lk(mu_);
-  Entry* e = find_locked(hash, tokens, ts, len);
+  Entry* e = find_locked(hash, tokens, ts);
   if (e == nullptr) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   // The references are taken UNDER the cache lock, so a concurrent
-  // evict_one cannot release the entry's pages between match and pin.
+  // reclaim_one or publish cannot release the entry's pages between
+  // match and pin.
   for (index_t page : e->pages) {
     pool.add_ref(page);
     out_pages.push_back(page);
@@ -145,11 +147,11 @@ bool PrefixCache::lookup_acquire(std::uint64_t hash, const index_t* tokens,
 }
 
 void PrefixCache::publish(std::uint64_t hash, const index_t* tokens,
-                          index_t ts, index_t len, const index_t* pages,
-                          index_t n_pages, KvPagePool& pool) {
+                          index_t ts, const index_t* pages, index_t n_pages,
+                          KvPagePool& pool) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lk(mu_);
-  if (Entry* existing = find_locked(hash, tokens, ts, len)) {
+  if (Entry* existing = find_locked(hash, tokens, ts)) {
     // Same source already cached (its pages necessarily hold the same
     // bits): refresh the stamp, keep the existing pin.
     existing->stamp = ++clock_;
@@ -181,7 +183,6 @@ void PrefixCache::publish(std::uint64_t hash, const index_t* tokens,
   target->valid = true;
   target->hash = hash;
   target->ts = ts;
-  target->len = len;
   target->stamp = ++clock_;
   target->tokens.assign(tokens, tokens + ts);
   target->pages.assign(pages, pages + n_pages);
@@ -190,12 +191,16 @@ void PrefixCache::publish(std::uint64_t hash, const index_t* tokens,
   insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool PrefixCache::evict_one(KvPagePool& pool) {
+bool PrefixCache::reclaim_one(KvPagePool& pool) {
   if (!enabled()) return false;
   std::lock_guard<std::mutex> lk(mu_);
   Entry* lru = nullptr;
   for (Entry& e : entries_) {
-    if (!e.valid) continue;
+    if (!e.valid ||
+        std::none_of(e.pages.begin(), e.pages.end(), [&](index_t page) {
+          return pool.refcount(page) == 1;
+        }))
+      continue;
     if (lru == nullptr || e.stamp < lru->stamp) lru = &e;
   }
   if (lru == nullptr) return false;

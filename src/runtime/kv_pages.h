@@ -97,27 +97,29 @@ class KvPagePool {
   mutable std::mutex mu_;
 };
 
-// FNV-1a over the token ids plus the valid length — the prefix-cache
-// key.  Exposed (rather than buried in the cache) so the cache API takes
-// the precomputed hash: the session computes it once per admission, and
-// tests can force collisions to exercise the full-token compare.
-std::uint64_t prefix_hash(const index_t* tokens, index_t ts, index_t len);
+// FNV-1a over the token ids of a source's valid prefix — the
+// prefix-cache key.  Exposed (rather than buried in the cache) so the
+// cache API takes the precomputed hash: the session computes it once per
+// admission, and tests can force collisions to exercise the full-token
+// compare.
+std::uint64_t prefix_hash(const index_t* tokens, index_t ts);
 
 // Bounded content-hashed cache of committed cross-K/V prefixes.
 //
 // Contract (see DecodeSession for the integration):
-//   * publish() records {hash, full token sequence, len, the page ids}
+//   * publish() records {hash, full token sequence, the page ids}
 //     and takes one pool reference per page — the cache's own pin, so an
 //     entry survives the publishing row's retirement.
-//   * lookup_acquire() matches hash AND the full token sequence AND len
-//     (hash collisions can never alias two different sources), takes one
+//   * lookup_acquire() matches hash AND the full token sequence (hash
+//     collisions can never alias two different sources), takes one
 //     reference per page for the caller, bumps the entry's LRU stamp and
 //     appends the page ids to `out_pages`.  Safe concurrently from
 //     prefill workers.
-//   * evict_one() drops the least-recently-used entry and its pool
-//     references — cached pages whose only holder is the cache are
-//     RECLAIMABLE: page acquisition evicts entries on pool pressure, so
-//     the cache can never starve admission; only live rows can.
+//   * reclaim_one() drops the least-recently-used entry that holds a
+//     page only the cache references, with its pool references — such
+//     pages are RECLAIMABLE: page acquisition reclaims them on pool
+//     pressure, so the cache can never starve admission; only live rows
+//     can.
 //   * A full cache evicts LRU on publish; re-publishing an existing
 //     source refreshes its stamp instead of duplicating it.
 //
@@ -138,14 +140,15 @@ class PrefixCache {
   bool enabled() const { return !entries_.empty(); }
 
   bool lookup_acquire(std::uint64_t hash, const index_t* tokens, index_t ts,
-                      index_t len, KvPagePool& pool,
-                      std::vector<index_t>& out_pages);
+                      KvPagePool& pool, std::vector<index_t>& out_pages);
   void publish(std::uint64_t hash, const index_t* tokens, index_t ts,
-               index_t len, const index_t* pages, index_t n_pages,
-               KvPagePool& pool);
-  // Drops the LRU entry (releasing its pool references); false when the
-  // cache is empty or disabled.
-  bool evict_one(KvPagePool& pool);
+               const index_t* pages, index_t n_pages, KvPagePool& pool);
+  // Drops the LRU entry among those holding a reclaimable page, so the
+  // drop returns at least one page to the pool; false when no entry
+  // would (or the cache is disabled).  An entry whose pages live rows
+  // all still map is kept: dropping it frees nothing and only loses a
+  // later hit.
+  bool reclaim_one(KvPagePool& pool);
   // Pages whose ONLY reference is this cache — what eviction could hand
   // back to the pool right now.  Takes both locks (cache → pool order).
   index_t reclaimable_pages(const KvPagePool& pool) const;
@@ -170,15 +173,13 @@ class PrefixCache {
     bool valid = false;
     std::uint64_t hash = 0;
     index_t ts = 0;
-    index_t len = 0;
     long long stamp = 0;  // LRU clock value of the last publish/hit
     std::vector<index_t> tokens;  // reserved max_tokens at init
     std::vector<index_t> pages;   // reserved max_pages at init
   };
 
   // Under mu_.  Returns the matching valid entry or nullptr.
-  Entry* find_locked(std::uint64_t hash, const index_t* tokens, index_t ts,
-                     index_t len);
+  Entry* find_locked(std::uint64_t hash, const index_t* tokens, index_t ts);
   void drop_locked(Entry& e, KvPagePool& pool);
 
   std::vector<Entry> entries_;

@@ -17,9 +17,11 @@
 //   * Worker threads (a bounded job queue, not a fork-join, so not a
 //     core::WorkerPool; each holds a linalg::GemmSerialScope) pop jobs,
 //     claim a preallocated runtime::PrefillStaging slot, and run the
-//     expensive half, DecodeSession::prime_compute: the masked native
-//     encoder pass plus every layer's cross-K/V projection, all computed
-//     from and written into the worker's exclusively-held staging slot.
+//     expensive half, DecodeSession::prime_compute: the encoder's stage
+//     plan over the source's valid prefix, run on the slot's own
+//     runtime::StageLane, plus every layer's cross-K/V projection, all
+//     computed from and written into the worker's exclusively-held
+//     staging slot.
 //     prime_compute touches no session or model mutable state (stateless
 //     kernels over frozen weights), so N workers scale the prefill
 //     throughput across N cores — no mutex, no serialization — while the

@@ -343,6 +343,7 @@ TEST(DecodeSession, FrozenPrimeComputeBitIdenticalToUnfrozen) {
   // Prepacked gemm ≡ per-call-packed gemm, so the staged cross-K/V of a
   // frozen prefill match an unfrozen one bit for bit: short, mid and
   // full-width sources, full and ragged lengths, under every backend.
+  // A ragged source stages only its valid prefix (staging.ts rows).
   TransformerConfig config = tiny_config(quadratic::NeuronSpec::proposed(3));
   config.proj_dim = 16;
   Transformer model(config);
@@ -362,12 +363,13 @@ TEST(DecodeSession, FrozenPrimeComputeBitIdenticalToUnfrozen) {
           random_src(1, ts, 20, static_cast<std::uint64_t>(90 + ts));
       for (index_t len : {index_t{0}, (ts + 1) / 2}) {
         session.prime_compute(src, len, staging);
+        EXPECT_EQ(staging.ts, len > 0 ? len : ts);
         for (index_t l = 0; l < layers; ++l) {
           const index_t offset = l * max_src * proj;
           out.insert(out.end(), staging.k.data() + offset,
-                     staging.k.data() + offset + ts * proj);
+                     staging.k.data() + offset + staging.ts * proj);
           out.insert(out.end(), staging.v.data() + offset,
-                     staging.v.data() + offset + ts * proj);
+                     staging.v.data() + offset + staging.ts * proj);
         }
       }
     }
@@ -413,116 +415,6 @@ TEST(DecodeSession, UnfreezeRefreezeTracksWeightUpdates) {
   EXPECT_EQ(after[0], ref[0]);
   EXPECT_NE(after[0], before[0]) << "flipped projection must change the "
                                     "greedy sequence";
-}
-
-TEST(DecodeSession, MonolithicForwardIntoMatchesFlattenedStages) {
-  // DecoderLayer::forward_into is the monolithic twin of the flattened
-  // stage plan the session drives; pin the two together bit-exactly so
-  // they cannot drift.  The monolithic side runs through a hand-rolled
-  // driver that binds the step adapters directly (no session) — also the
-  // API demonstration for custom decode drivers.
-  const TransformerConfig config = tiny_config();
-  Transformer session_model(config), manual_model(config);  // same seed
-  session_model.set_training(false);
-  manual_model.set_training(false);
-  const index_t n = 2, ts = 5, steps = 6;
-  const Tensor src = random_src(n, ts, 20, 61);
-
-  DecodeSession session(session_model, session_config(n, steps));
-  session.prime(src, {});
-
-  // Manual monolithic driver over manual_model (identical weights).
-  const index_t P = config.proj_dim, D = config.d_model;
-  const index_t layers = manual_model.num_decoder_layers();
-  // The adapters take per-row ring positions; this lockstep driver keeps
-  // all rows at one shared position.
-  std::vector<index_t> cur_rows(static_cast<std::size_t>(n), 0);
-  const std::vector<index_t> no_lengths;
-  Workspace ws;
-  const Tensor enc = manual_model.encode(src, {});
-  // Hand-rolled paged KV (the PR 10 bind contract): one pool page per
-  // (row, self/cross) pair — page_tokens a power of two covering both the
-  // step budget and the source — with every layer's K and V slices at
-  // their static offsets inside the page, exactly the session's layout.
-  const index_t pt = 8;  // >= steps and >= ts, power of two
-  const index_t slice = pt * P;
-  const index_t page_floats = layers * 2 * slice;
-  runtime::KvPagePool pool;
-  pool.init(2 * n, page_floats);
-  std::vector<index_t> self_table, cross_table;
-  for (index_t r = 0; r < n; ++r) self_table.push_back(pool.acquire());
-  for (index_t r = 0; r < n; ++r) cross_table.push_back(pool.acquire());
-  const auto paged = [&](const std::vector<index_t>& table,
-                         index_t slice_offset) {
-    PagedKvView view;
-    view.pool = pool.data();
-    view.table = table.data();
-    view.page_floats = page_floats;
-    view.pages_per_row = 1;
-    view.page_tokens = pt;
-    view.slice_offset = slice_offset;
-    return view;
-  };
-  std::vector<Tensor> k_cross, v_cross;  // dense project_kv staging
-  for (index_t l = 0; l < layers; ++l) {
-    k_cross.emplace_back(Shape{n, ts, P});
-    v_cross.emplace_back(Shape{n, ts, P});
-    DecoderLayer& layer = manual_model.decoder_layer(l);
-    ws.reset();
-    layer.cross_attention().project_kv(
-        ConstTensorView(Shape{n * ts, D}, enc.data()), n, ts,
-        TensorView(k_cross.back()), TensorView(v_cross.back()), ws);
-    // Commit the staged dense K/V into the cross pages (the session's
-    // commit_row copy, inlined for one page per row).
-    for (index_t r = 0; r < n; ++r) {
-      float* page = pool.page_data(cross_table[static_cast<std::size_t>(r)]);
-      for (index_t j = 0; j < ts; ++j) {
-        const float* ks = k_cross.back().data() + (r * ts + j) * P;
-        const float* vs = v_cross.back().data() + (r * ts + j) * P;
-        std::copy(ks, ks + P, page + (2 * l) * slice + j * P);
-        std::copy(vs, vs + P, page + (2 * l + 1) * slice + j * P);
-      }
-    }
-    layer.self_step().bind(paged(self_table, (2 * l) * slice),
-                           paged(self_table, (2 * l + 1) * slice), steps,
-                           &cur_rows);
-    layer.cross_step().bind(paged(cross_table, (2 * l) * slice),
-                            paged(cross_table, (2 * l + 1) * slice), ts,
-                            &no_lengths);
-  }
-
-  std::vector<index_t> feed(static_cast<std::size_t>(n), 1);  // bos
-  Tensor x{Shape{n, D}}, y{Shape{n, D}};
-  const float scale = std::sqrt(static_cast<float>(D));
-  for (index_t s = 0; s < steps; ++s) {
-    const std::vector<index_t> next = session.step(feed);
-    // Monolithic step: embed + scale + positional, then layer-by-layer
-    // forward_into, then the output projection.
-    for (index_t r = 0; r < n; ++r) {
-      const float* e = manual_model.tgt_embedding().weight().value.data() +
-                       feed[static_cast<std::size_t>(r)] * D;
-      const float* pe = manual_model.positional().table().data() +
-                        cur_rows[static_cast<std::size_t>(r)] * D;
-      for (index_t d = 0; d < D; ++d)
-        x.data()[r * D + d] = e[d] * scale + pe[d];
-    }
-    for (index_t l = 0; l < layers; ++l) {
-      ws.reset();
-      manual_model.decoder_layer(l).forward_into(ConstTensorView(x),
-                                                 TensorView(y), ws);
-      std::swap(x, y);
-    }
-    Tensor logits{Shape{n, config.tgt_vocab}};
-    ws.reset();
-    manual_model.output_projection().forward_into(ConstTensorView(x),
-                                                  TensorView(logits), ws);
-    for (index_t& c : cur_rows) ++c;
-    ASSERT_EQ(session.logits().shape(), logits.shape());
-    EXPECT_EQ(view_max_abs_diff(session.logits(), ConstTensorView(logits)),
-              0.0f)
-        << "step " << s;
-    feed = next;  // both paths follow the session's greedy argmax
-  }
 }
 
 TEST(DecodeSession, StagePlanAndFootprintIntrospection) {
@@ -623,7 +515,6 @@ TEST(DecodeSession, PrimeComputeCommitRowMatchesPrimeRowBitExactly) {
   session.init_staging(staging);
   session.prime_compute(src, 0, staging);
   EXPECT_EQ(staging.ts, 5);
-  EXPECT_EQ(staging.len, 5);
   session.commit_row(0, staging);
   session.commit_row(1, staging);  // staging is reusable until overwritten
   EXPECT_FALSE(session.row_parked(0));
@@ -741,6 +632,53 @@ TEST(DecodeSession, ConfigValidationNamesTheField) {
   sc = session_config(2, 8);
   sc.max_src = model.config().max_len + 1;
   EXPECT_NE(message_of(sc).find("max_src"), std::string::npos);
+}
+
+TEST(DecodeSession, CommitRowRollsBackWhenThePoolIsDry) {
+  // A cold commit that cannot get every cross page even after reclaim
+  // hands back the pages it did get and throws, leaving the pool and
+  // the row exactly as they were; the row admits normally once pages
+  // free up.  Geometry: 4-token pages, 8 steps and 8 source positions —
+  // a worst-case row needs 2 self + 2 cross pages, and the pool holds
+  // exactly 4, with the prefix cache off so nothing is reclaimable.
+  Transformer model(tiny_config());
+  model.set_training(false);
+  DecodeSessionConfig sc = session_config(2, 8);
+  sc.max_src = 8;
+  sc.page_tokens = 4;
+  sc.pool_pages = 4;
+  sc.prefix_cache_entries = 0;
+  DecodeSession session(model, sc);
+
+  const Tensor src = random_src(1, 8, 20, 83);
+  const auto ref = model.greedy_decode_reference(src, {}, 1, 2, 8)[0];
+  runtime::PrefillStaging staging;
+  session.init_staging(staging);
+  session.prime_compute(src, 0, staging);
+  session.commit_row(0, staging);  // 2 cross pages
+  std::vector<index_t> feed{1, 1};
+  feed = session.step(feed);  // row 0 maps its first self page
+  ASSERT_EQ(session.free_pages(), 1);
+
+  // Row 1 needs 2 cross pages; the pool has 1.  The commit takes it,
+  // finds the second missing, releases the first and throws.
+  EXPECT_THROW(session.commit_row(1, staging), std::runtime_error);
+  EXPECT_EQ(session.free_pages(), 1);
+  EXPECT_TRUE(session.row_parked(1));
+  session.check_invariants({});
+
+  // Retiring row 0 frees its 3 pages: the same staging now commits.
+  session.reset_row(0);
+  ASSERT_EQ(session.free_pages(), 4);
+  session.commit_row(1, staging);
+  session.check_invariants({});
+  std::vector<index_t> got;
+  feed = {1, 1};
+  for (index_t s = 0; s < 8 && feed[1] != 2; ++s) {  // 2 = eos
+    feed = session.step(feed);
+    if (feed[1] != 2) got.push_back(feed[1]);
+  }
+  EXPECT_EQ(got, ref);
 }
 
 TEST(DecodeSession, MaxSrcShrinksCrossCachesAndBoundsPrime) {

@@ -6,14 +6,23 @@
 //  * Transformer encoder — embed, scale+positional, and per-layer
 //    attention / residual-add / LayerNorm / FFN stages; final hidden
 //    states must be bit-identical to Transformer::encode.
+//  * Prefill — the same encoder plan over a source's valid prefix; the
+//    staged cross K/V must be bit-identical to the training path on the
+//    padded source.
 //
 // Per-stage output shapes are validated against the pipeline plan so a
 // flatten_into regression (wrong boundary wiring) fails loudly here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "alloc_counter.h"
 #include "models/resnet.h"
 #include "models/transformer/transformer.h"
+#include "runtime/decode_session.h"
 #include "runtime/inference_session.h"
+#include "serve/scheduler.h"
 
 namespace qdnn::models {
 namespace {
@@ -190,59 +199,120 @@ TEST(ServingPipeline, TransformerEncoderProposedProjectionsMatch) {
   expect_encoder_pipeline_matches(NeuronSpec::proposed(3), 37);
 }
 
-TEST(ServingPipeline, MaskedNativeEncoderMatchesTrainingPath) {
-  // The serving prefill path (TransformerEncoder::encode_into — the
-  // allocation-free masked pipeline DecodeSession::prime_compute runs)
-  // must be bit-identical to Transformer::encode on the same RAGGED
-  // batch, for both projection families: key-padding masks give padded
-  // tails exact-zero softmax weights, so raggedness never leaks across
-  // samples.
+// The cross K/V `staging` holds for layer l: its first staging.ts rows.
+std::vector<float> staged_rows(const runtime::PrefillStaging& staging,
+                               index_t l, index_t max_src, index_t proj) {
+  const index_t offset = l * max_src * proj;
+  std::vector<float> rows(staging.k.data() + offset,
+                          staging.k.data() + offset + staging.ts * proj);
+  rows.insert(rows.end(), staging.v.data() + offset,
+              staging.v.data() + offset + staging.ts * proj);
+  return rows;
+}
+
+TEST(ServingPipeline, PrefillStagesTheValidPrefixBitExactly) {
+  // Prefill runs the encoder's flattened plan over a source's valid
+  // prefix only.  That is exact: padded keys get exact-zero softmax
+  // weights, so the staged cross K/V of a padded source (src_length <
+  // Ts) equal project_kv over rows [0, len) of the training-path
+  // encoder on the padded batch — and equal a prefill of the first len
+  // tokens alone.  Both projection families.
   for (const bool quadratic : {false, true}) {
     Transformer model(small_config(quadratic ? NeuronSpec::proposed(3)
                                              : NeuronSpec::linear()));
     model.set_training(false);
-    const index_t n = 3, t = 7, d = model.config().d_model;
-    const Tensor ids = random_ids(n, t, model.config().src_vocab,
+    const index_t t = 7, d = model.config().d_model;
+    const index_t proj = model.config().proj_dim;
+    const Tensor ids = random_ids(1, t, model.config().src_vocab,
                                   quadratic ? 53 : 47);
-    const std::vector<index_t> lengths{t, 3, 1};  // full, ragged, minimal
-    const Tensor ref =
-        model.encode(ids, lengths).reshaped(Shape{n, t, d});
+    runtime::DecodeSessionConfig sc;
+    sc.max_steps = 4;
+    runtime::DecodeSession session(model, sc);
+    const index_t max_src = session.max_src();
+    runtime::PrefillStaging padded, alone;
+    session.init_staging(padded);
+    session.init_staging(alone);
 
-    TransformerEncoder encoder(model);
-    ASSERT_TRUE(encoder.supports_forward_into());
-    Workspace ws;
-    Tensor out{Shape{n, t, d}};
-    encoder.encode_into(ConstTensorView(ids), TensorView(out),
-                        lengths.data(), ws);
-    EXPECT_EQ(view_max_abs_diff(ConstTensorView(out), ConstTensorView(ref)),
-              0.0f)
-        << (quadratic ? "proposed" : "linear");
+    for (const index_t len : {t, index_t{3}, index_t{1}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (quadratic ? "proposed" : "linear") << ", len "
+                   << len);
+      session.prime_compute(ids, len == t ? 0 : len, padded);
+      ASSERT_EQ(padded.ts, len);
+      Tensor head{Shape{1, len}};
+      std::copy(ids.data(), ids.data() + len, head.data());
+      session.prime_compute(head, 0, alone);
+      ASSERT_EQ(alone.ts, len);
 
-    // Warm-then-steady contract: after one pass at this shape (and a
-    // reset + consolidate), a second pass grows the arena by nothing and
-    // reproduces the same bytes.
-    ws.reset();
-    ws.consolidate();
-    const index_t warm_capacity = ws.capacity();
-    Tensor again{Shape{n, t, d}};
-    encoder.encode_into(ConstTensorView(ids), TensorView(again),
-                        lengths.data(), ws);
-    EXPECT_EQ(ws.capacity(), warm_capacity)
-        << "steady-state encode_into allocated";
-    EXPECT_EQ(view_max_abs_diff(ConstTensorView(again), ConstTensorView(ref)),
-              0.0f);
+      const Tensor enc = model.encode(ids, {len});  // [t, D], padded
+      for (index_t l = 0; l < model.num_decoder_layers(); ++l) {
+        Tensor k{Shape{1, len, proj}}, v{Shape{1, len, proj}};
+        Workspace ws;
+        model.decoder_layer(l).cross_attention().project_kv(
+            ConstTensorView(Shape{len, d}, enc.data()), 1, len,
+            TensorView(k), TensorView(v), ws);
+        std::vector<float> ref(k.data(), k.data() + len * proj);
+        ref.insert(ref.end(), v.data(), v.data() + len * proj);
+        EXPECT_EQ(staged_rows(padded, l, max_src, proj), ref)
+            << "layer " << l << " vs the training path";
+        EXPECT_EQ(staged_rows(alone, l, max_src, proj), ref)
+            << "layer " << l << " vs the prefix alone";
+      }
+    }
 
-    // A null lengths pointer means every position is valid — the dense
-    // case must match the training path with no lengths too.
-    const Tensor dense_ref = model.encode(ids, {}).reshaped(Shape{n, t, d});
-    ws.reset();
-    Tensor dense{Shape{n, t, d}};
-    encoder.encode_into(ConstTensorView(ids), TensorView(dense), nullptr,
-                        ws);
-    EXPECT_EQ(
-        view_max_abs_diff(ConstTensorView(dense), ConstTensorView(dense_ref)),
-        0.0f);
+    // A warm slot rebinds its lane to every source length in place:
+    // alternating lengths allocate nothing.
+    const long long before = g_live_allocs.load();
+    for (int rep = 0; rep < 3; ++rep)
+      for (const index_t len : {t, index_t{2}, index_t{5}, index_t{1}})
+        session.prime_compute(ids, len, padded);
+    EXPECT_EQ(g_live_allocs.load() - before, 0)
+        << "prefill allocated while the source length alternated";
   }
+}
+
+TEST(ServingPipeline, SourcesDifferingOnlyInPaddingShareAPrefixEntry) {
+  // Tokens after src_length never reach an output, so two requests that
+  // differ only there decode identical tokens — and the second one hits
+  // the prefix cache entry the first published.
+  Transformer model(small_config(NeuronSpec::linear()));
+  model.set_training(false);
+  const index_t t = 7, len = 4, budget = 6;
+  const Tensor a = random_ids(1, t, model.config().src_vocab, 59);
+  Tensor b = a;
+  for (index_t j = len; j < t; ++j)
+    b[j] = static_cast<float>((static_cast<index_t>(a[j]) + 1) %
+                              model.config().src_vocab);
+  const auto reference =
+      model.greedy_decode_reference(a, {len}, 1, 2, budget)[0];
+
+  serve::BatchSchedulerConfig config;
+  config.session.max_batch = 2;
+  config.session.max_steps = budget;
+  config.bos = 1;
+  config.eos = 2;
+  serve::BatchScheduler scheduler(model, config);
+  const auto run = [&](const Tensor& src) {
+    serve::Request req;
+    req.src_ids = src;
+    req.src_length = len;
+    const index_t id = scheduler.submit(std::move(req));
+    std::vector<index_t> tokens;
+    while (!scheduler.idle()) {
+      scheduler.step();
+      for (serve::RequestResult& r : scheduler.take_results()) {
+        EXPECT_EQ(r.id, id);
+        tokens = std::move(r.tokens);
+      }
+    }
+    return tokens;
+  };
+  const auto& cache = scheduler.session().prefix_cache();
+  EXPECT_EQ(run(a), reference);
+  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(run(b), reference);
+  EXPECT_EQ(cache.hits(), 1) << "the padded twin must hit";
+  EXPECT_EQ(cache.insertions(), 1);
 }
 
 TEST(ServingPipeline, TransformerEncoderShardsBitIdentically) {

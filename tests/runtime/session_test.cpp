@@ -246,26 +246,77 @@ class ParkingIdentity : public nn::Module {
 };
 
 TEST(InferenceSession, ConcurrentRunOnAShardedSessionFailsACheck) {
-  // run() serves one caller at a time.  A sharded session that finds its
-  // pool busy reports the second caller instead of racing it on the
-  // shards' buffers.
-  auto owned = std::make_unique<ParkingIdentity>();
-  ParkingIdentity* stage = owned.get();
-  InferenceSession session(std::move(owned), dense_config(4, 4, 2));
+  // run() serves one caller at a time.  A session that finds a run()
+  // mid-flight reports the second caller before rebinding anything — a
+  // second run() at a different batch size must not re-slice the views
+  // the first run's shards are reading — so the first run's output stays
+  // bit-identical to a solo run.
+  Rng rng(8);
+  auto net = std::make_unique<nn::Sequential>("parked_mlp");
+  ParkingIdentity* stage = net->emplace<ParkingIdentity>();
+  net->emplace<nn::Linear>(4, 4, rng, true, "fc");
+  InferenceSession session(std::move(net), dense_config(4, 4, 2));
   const Tensor x = random_tensor(Shape{4, 4}, 9);
+  const Tensor solo = session.run(x).to_tensor();
+  const Tensor smaller = random_tensor(Shape{2, 4}, 10);
   stage->arm();
-  std::thread first([&] { session.run(x); });
+  Tensor first_out;
+  std::thread first([&] { first_out = session.run(x).to_tensor(); });
   stage->wait_parked();
   try {
-    session.run(x);
+    session.run(smaller);
     ADD_FAILURE() << "a concurrent run() went through";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("two threads"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("already in flight"),
+              std::string::npos)
         << e.what();
   }
   stage->release();
   first.join();
-  EXPECT_EQ(view_max_abs_diff(session.run(x), ConstTensorView(x)), 0.0f);
+  ASSERT_EQ(first_out.shape(), solo.shape());
+  EXPECT_EQ(view_max_abs_diff(ConstTensorView(first_out),
+                              ConstTensorView(solo)),
+            0.0f);
+  EXPECT_EQ(view_max_abs_diff(session.run(x), ConstTensorView(solo)), 0.0f);
+}
+
+// An identity stage that calls back into its session's run() once.
+class ReentrantIdentity : public nn::Module {
+ public:
+  Tensor forward(const Tensor& input) override { return input; }
+  Tensor backward(const Tensor& grad) override { return grad; }
+  bool supports_forward_into() const override { return true; }
+  void forward_into(const ConstTensorView& input, const TensorView& output,
+                    Workspace&) override {
+    std::copy(input.data(), input.data() + input.numel(), output.data());
+    if (InferenceSession* s = session.exchange(nullptr)) s->run(input);
+  }
+  std::string name() const override { return "reentrant_identity"; }
+
+  std::atomic<InferenceSession*> session{nullptr};  // shards race for it
+};
+
+TEST(InferenceSession, RunReenteredFromAStageFailsACheck) {
+  // Same-thread re-entry is caught by the same guard as a concurrent
+  // caller, with the same message, sharded or not; the session serves
+  // normally afterwards.
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    auto net = std::make_unique<nn::Sequential>("reentrant_net");
+    ReentrantIdentity* stage = net->emplace<ReentrantIdentity>();
+    InferenceSession session(std::move(net), dense_config(4, 4, threads));
+    const Tensor x = random_tensor(Shape{4, 4}, 11);
+    stage->session = &session;
+    try {
+      session.run(x);
+      ADD_FAILURE() << "a re-entrant run() went through";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("already in flight"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(view_max_abs_diff(session.run(x), ConstTensorView(x)), 0.0f);
+  }
 }
 
 TEST(InferenceSession, ServesVariableBatchSizesUpToMax) {
@@ -333,6 +384,31 @@ TEST(InferenceSession, ZeroHeapAllocationsInSteadyState) {
   // convenience overload, nor transpose a frozen weight per call.
   EXPECT_EQ(linalg::gemm_heap_pack_calls(), packs_before);
   EXPECT_EQ(linalg::gemm_weight_pack_calls(), weight_packs_before);
+}
+
+TEST(InferenceSession, BatchSizeChangesRebindWithoutAllocating) {
+  // Every shard's lane re-slices its views in place: once each batch
+  // size has run, alternating between them allocates nothing, sharded or
+  // not, and every size stays bit-identical to its first run.
+  for (const int threads : {1, 2}) {
+    InferenceSession session(make_quad_mlp(29),
+                             dense_config(12, 8, threads));
+    const std::vector<index_t> sizes{8, 3, 1, 5};
+    std::vector<Tensor> inputs, outputs;
+    for (const index_t n : sizes) {
+      inputs.push_back(random_tensor(Shape{n, 12}, 70 + n));
+      outputs.push_back(session.run(inputs.back()).to_tensor());
+    }
+    const long long before = g_live_allocs.load();
+    for (int rep = 0; rep < 3; ++rep)
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        const ConstTensorView& out = session.run(inputs[i]);
+        EXPECT_EQ(view_max_abs_diff(out, ConstTensorView(outputs[i])), 0.0f)
+            << "batch " << sizes[i] << ", threads " << threads;
+      }
+    EXPECT_EQ(g_live_allocs.load() - before, 0)
+        << "batch-size changes allocated, threads " << threads;
+  }
 }
 
 TEST(InferenceSession, WorkspaceWatermarkIsStableAcrossRuns) {

@@ -76,8 +76,8 @@ TEST(PagedKv, PrefixHitSkipsPrimeAndMatchesColdPrimeBitExactly) {
 
   // The cache's pin keeps the committed cross pages out of the free
   // list even though no row is live.
-  const index_t cross_pages =
-      scheduler.session().cross_pages_for(src.dim(1));
+  // Only the valid prefix is encoded and paged.
+  const index_t cross_pages = scheduler.session().cross_pages_for(len);
   EXPECT_EQ(scheduler.session().free_pages(),
             scheduler.session().total_pages() - cross_pages);
   EXPECT_EQ(scheduler.session().reclaimable_pages(), cross_pages);
@@ -155,8 +155,8 @@ TEST(PagedKv, CachedPagesStayPinnedWhileALiveRowMapsThem) {
       pool.page_data(pages[p])[f] = static_cast<float>(100 * p + f);
 
   const index_t tokens[3] = {5, 6, 7};
-  const std::uint64_t h = runtime::prefix_hash(tokens, 3, 3);
-  cache.publish(h, tokens, 3, 3, pages, 2, pool);
+  const std::uint64_t h = runtime::prefix_hash(tokens, 3);
+  cache.publish(h, tokens, 3, pages, 2, pool);
   EXPECT_EQ(pool.refcount(pages[0]), 2);  // producer + cache
 
   // Producer row retires: only the cache pin remains.
@@ -167,17 +167,20 @@ TEST(PagedKv, CachedPagesStayPinnedWhileALiveRowMapsThem) {
 
   // A consumer row takes the prefix (pin under the cache lock)...
   std::vector<index_t> row_pages;
-  ASSERT_TRUE(cache.lookup_acquire(h, tokens, 3, 3, pool, row_pages));
+  ASSERT_TRUE(cache.lookup_acquire(h, tokens, 3, pool, row_pages));
   ASSERT_EQ(row_pages.size(), 2u);
   EXPECT_EQ(pool.refcount(pages[0]), 2);
 
-  // ... then the cache entry is evicted under pressure.  The pages must
-  // NOT return to the free list — the row still maps them — and their
-  // contents must be intact.
-  ASSERT_TRUE(cache.evict_one(pool));
-  EXPECT_EQ(cache.live_entries(), 0);
+  // ... then the cache entry is evicted: the full one-entry cache drops
+  // it to publish another source.  The pages must NOT return to the free
+  // list — the row still maps them — and their contents must be intact.
+  const index_t other_tokens[1] = {9};
+  const index_t other_page = pool.acquire();
+  cache.publish(runtime::prefix_hash(other_tokens, 1), other_tokens, 1,
+                &other_page, 1, pool);
+  EXPECT_EQ(cache.evictions(), 1);
   EXPECT_EQ(pool.refcount(pages[0]), 1);
-  EXPECT_EQ(pool.free_pages(), 2);
+  EXPECT_EQ(pool.free_pages(), 1);  // the other source took one
   for (int p = 0; p < 2; ++p)
     for (index_t f = 0; f < 8; ++f)
       EXPECT_EQ(pool.page_data(pages[p])[f],
@@ -185,7 +188,39 @@ TEST(PagedKv, CachedPagesStayPinnedWhileALiveRowMapsThem) {
 
   // Only when the row releases do the pages become free again.
   for (index_t page : row_pages) pool.release(page);
-  EXPECT_EQ(pool.free_pages(), 4);
+  EXPECT_EQ(pool.free_pages(), 3);
+}
+
+TEST(PagedKv, ReclaimSkipsEntriesWhosePagesLiveRowsStillMap) {
+  // Pool pressure drops only an entry whose drop frees a page: the LRU
+  // entry here is mapped by a live row, so it is kept and the younger,
+  // cache-only entry goes instead.
+  runtime::KvPagePool pool;
+  pool.init(/*pages=*/2, /*page_floats=*/4);
+  runtime::PrefixCache cache;
+  cache.init(/*entries=*/2, /*max_tokens=*/4, /*max_pages=*/1);
+
+  const index_t tokens_a[2] = {1, 2};
+  const index_t tokens_b[2] = {3, 4};
+  const std::uint64_t ha = runtime::prefix_hash(tokens_a, 2);
+  const std::uint64_t hb = runtime::prefix_hash(tokens_b, 2);
+  const index_t page_a = pool.acquire();
+  cache.publish(ha, tokens_a, 2, &page_a, 1, pool);  // LRU; row keeps it
+  const index_t page_b = pool.acquire();
+  cache.publish(hb, tokens_b, 2, &page_b, 1, pool);
+  pool.release(page_b);  // B's producer retires: the cache is sole holder
+  ASSERT_EQ(pool.free_pages(), 0);
+
+  ASSERT_TRUE(cache.reclaim_one(pool));
+  EXPECT_EQ(pool.free_pages(), 1);
+  std::vector<index_t> out;
+  EXPECT_TRUE(cache.lookup_acquire(ha, tokens_a, 2, pool, out));
+  EXPECT_FALSE(cache.lookup_acquire(hb, tokens_b, 2, pool, out));
+
+  // Only A is left and every reference to its page but the cache's is a
+  // row's: nothing to reclaim.
+  EXPECT_FALSE(cache.reclaim_one(pool));
+  EXPECT_EQ(cache.live_entries(), 1);
 }
 
 TEST(PagedKv, HashCollisionNeverAliasesDifferentTokens) {
@@ -196,26 +231,26 @@ TEST(PagedKv, HashCollisionNeverAliasesDifferentTokens) {
 
   const index_t tokens_a[3] = {1, 2, 3};
   const index_t page = pool.acquire();
-  const std::uint64_t h = runtime::prefix_hash(tokens_a, 3, 3);
-  cache.publish(h, tokens_a, 3, 3, &page, 1, pool);
+  const std::uint64_t h = runtime::prefix_hash(tokens_a, 3);
+  cache.publish(h, tokens_a, 3, &page, 1, pool);
 
   // Forced collision: the SAME 64-bit hash with different tokens must
   // miss — the full-token compare is the safety net.
   const index_t tokens_b[3] = {9, 9, 9};
   std::vector<index_t> out;
-  EXPECT_FALSE(cache.lookup_acquire(h, tokens_b, 3, 3, pool, out));
+  EXPECT_FALSE(cache.lookup_acquire(h, tokens_b, 3, pool, out));
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(cache.misses(), 1);
 
-  // Same hash + same tokens + same length: hit.
-  EXPECT_TRUE(cache.lookup_acquire(h, tokens_a, 3, 3, pool, out));
+  // Same hash + same tokens: hit.
+  EXPECT_TRUE(cache.lookup_acquire(h, tokens_a, 3, pool, out));
   ASSERT_EQ(out.size(), 1u);
   pool.release(out[0]);
 
-  // Same tokens, different valid length: a distinct key (the mask
-  // shapes the committed K/V), so it must miss too.
+  // A shorter prefix of the same tokens is a different source (its
+  // encoder output differs), so it must miss too, hash forced equal.
   out.clear();
-  EXPECT_FALSE(cache.lookup_acquire(h, tokens_a, 3, 2, pool, out));
+  EXPECT_FALSE(cache.lookup_acquire(h, tokens_a, 2, pool, out));
 }
 
 TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {

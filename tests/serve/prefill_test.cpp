@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -179,18 +180,19 @@ TEST(PrefillPool, ConcurrentPrimeComputeBitIdenticalToSequential) {
     sources.push_back(std::move(s));
   }
 
-  // Only the first ts rows of each layer's staged slice are meaningful
-  // (the tail holds whatever the warm-up left behind).
+  // Only the first st.ts rows of each layer's staged slice are
+  // meaningful — the valid prefix; the tail holds whatever an earlier
+  // prefill through the slot left behind.
   const index_t layers = model.config().n_layers;
   const index_t proj = model.config().proj_dim;
   const index_t max_src = session.max_src();
-  const auto valid_bytes = [&](const runtime::PrefillStaging& st,
-                               index_t ts) {
+  const auto valid_bytes = [&](const runtime::PrefillStaging& st) {
     std::vector<float> out;
     for (index_t l = 0; l < layers; ++l) {
       const index_t off = l * max_src * proj;
-      out.insert(out.end(), st.k.data() + off, st.k.data() + off + ts * proj);
-      out.insert(out.end(), st.v.data() + off, st.v.data() + off + ts * proj);
+      const index_t n = st.ts * proj;
+      out.insert(out.end(), st.k.data() + off, st.k.data() + off + n);
+      out.insert(out.end(), st.v.data() + off, st.v.data() + off + n);
     }
     return out;
   };
@@ -200,7 +202,8 @@ TEST(PrefillPool, ConcurrentPrimeComputeBitIdenticalToSequential) {
   std::vector<std::vector<float>> baseline;
   for (const Source& s : sources) {
     session.prime_compute(s.ids, s.len, seq);
-    baseline.push_back(valid_bytes(seq, s.ts));
+    EXPECT_EQ(seq.ts, s.len);
+    baseline.push_back(valid_bytes(seq));
   }
 
   std::atomic<index_t> next{0};
@@ -215,7 +218,7 @@ TEST(PrefillPool, ConcurrentPrimeComputeBitIdenticalToSequential) {
         if (i >= kRequests) break;
         const Source& s = sources[static_cast<std::size_t>(i)];
         session.prime_compute(s.ids, s.len, mine);
-        if (valid_bytes(mine, s.ts) != baseline[static_cast<std::size_t>(i)]) {
+        if (valid_bytes(mine) != baseline[static_cast<std::size_t>(i)]) {
           index_t expected = -1;
           first_mismatch.compare_exchange_strong(expected, i);
         }
@@ -243,6 +246,47 @@ TEST(PrefillPool, ConcurrentPrimeComputeBitIdenticalToSequential) {
           << "committed row " << r << " of pair " << i
           << " diverged from its solo decode";
   }
+}
+
+TEST(PrefillStaging, ReuseRebuildsForANewSessionAtTheSameAddress) {
+  // A staging slot outlives its session and is reused with a new session
+  // built in the same storage — so its plans sit at the same addresses.
+  // The new encoder's wider FFN needs wider boundary slots: the slot
+  // must be rebuilt for it, not run on buffers sized for the old plan,
+  // and then stage exactly what a fresh slot stages.
+  const models::TransformerConfig narrow = tiny_transformer_config();
+  models::TransformerConfig wide = narrow;
+  wide.d_ff = 4 * narrow.d_ff;
+  Transformer narrow_model(narrow), wide_model(wide);
+  narrow_model.set_training(false);
+  wide_model.set_training(false);
+  runtime::DecodeSessionConfig sc;
+  sc.max_batch = 1;
+  sc.max_steps = 4;
+  const Tensor ids = random_src_ids(1, 6, 20, 77);
+
+  std::optional<runtime::DecodeSession> session;
+  runtime::PrefillStaging reused;
+  session.emplace(narrow_model, sc);
+  session->init_staging(reused);
+  session->prime_compute(ids, 0, reused);
+
+  session.emplace(wide_model, sc);
+  session->init_staging(reused);
+  session->prime_compute(ids, 0, reused);
+  runtime::PrefillStaging fresh;
+  session->init_staging(fresh);
+  session->prime_compute(ids, 0, fresh);
+
+  ASSERT_EQ(reused.ts, fresh.ts);
+  ASSERT_EQ(reused.k.numel(), fresh.k.numel());
+  const index_t per_layer = session->max_src() * wide.proj_dim;
+  for (index_t l = 0; l < wide.n_layers; ++l)
+    for (index_t i = l * per_layer; i < l * per_layer + fresh.ts * wide.proj_dim;
+         ++i) {
+      ASSERT_EQ(reused.k.data()[i], fresh.k.data()[i]) << "K float " << i;
+      ASSERT_EQ(reused.v.data()[i], fresh.v.data()[i]) << "V float " << i;
+    }
 }
 
 TEST(PrefillPool, StochasticRequestsReproducibleAcrossAdmissionModes) {
